@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,6 +175,114 @@ TEST_P(PlanEquivalenceTest, PlannerOnOffRowsIdenticalOnPool) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Frozen references: the fixed query-order path's rows, outcome and BGP
+// cardinalities for every row-checked manifest, sequentially and on a
+// 2-thread engine (plus each CTP's chunk count there). The executed path
+// must reproduce them byte-for-byte: stage tables join in stage-id order
+// whatever order the stages ran in.
+// ---------------------------------------------------------------------------
+
+/// Deterministic text of one execution: status or outcome, BGP row counts,
+/// optionally per-CTP chunk counts, then the unsorted rendered rows.
+std::string RenderRun(const Graph& g, const Result<QueryResult>& r,
+                      bool with_chunks) {
+  if (!r.ok()) return "status: " + r.status().ToString() + "\n";
+  std::string out = "outcome: ";
+  out += SearchOutcomeName(r->outcome);
+  out += "\nbgp_rows:";
+  for (uint64_t n : r->bgp_rows) out += " " + std::to_string(n);
+  out += "\n";
+  if (with_chunks) {
+    out += "parallel_chunks:";
+    for (const CtpRunInfo& run : r->ctp_runs) {
+      out += " " + std::to_string(run.parallel_chunks);
+    }
+    out += "\n";
+  }
+  out += "rows: " + std::to_string(r->table.NumRows()) + "\n";
+  for (const std::string& row : RowsOf(g, *r)) out += row + "\n";
+  return out;
+}
+
+std::filesystem::path FrozenRowsPath(unsigned num_threads) {
+  return std::filesystem::path(EQL_SOURCE_DIR) / "tests" / "golden" /
+         (num_threads > 1 ? "plan_rows_pool2.txt" : "plan_rows_sequential.txt");
+}
+
+std::string ManifestStem(const std::string& path) {
+  return std::filesystem::path(path).stem().string();
+}
+
+/// The "== stem ==" section of a frozen-rows file, without its header.
+std::string FrozenSection(unsigned num_threads, const std::string& stem) {
+  std::ifstream in(FrozenRowsPath(num_threads), std::ios::binary);
+  EXPECT_TRUE(in.good()) << FrozenRowsPath(num_threads);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  const std::string header = "== " + stem + " ==\n";
+  size_t begin = text.find(header);
+  if (begin == std::string::npos) return "";
+  begin += header.size();
+  size_t end = text.find("\n== ", begin);
+  return text.substr(begin, end == std::string::npos ? std::string::npos
+                                                     : end + 1 - begin);
+}
+
+void CheckFrozenRows(const std::string& manifest_path, unsigned num_threads) {
+  Manifest m = LoadManifest(manifest_path);
+  ASSERT_FALSE(m.graph_text.empty());
+  if (!m.check_rows) return;  // timing-dependent manifest (e.g. TIMEOUT)
+  auto g = ParseGraphText(m.graph_text);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EngineOptions opts;
+  opts.num_threads = num_threads;
+  EqlEngine engine(*g, opts);
+  auto prepared = engine.Prepare(m.query);
+  const Result<QueryResult> r =
+      prepared.ok() ? prepared->Execute(BindParams(m))
+                    : Result<QueryResult>(prepared.status());
+  const std::string expected =
+      FrozenSection(num_threads, ManifestStem(manifest_path));
+  ASSERT_FALSE(expected.empty())
+      << "no frozen section for " << ManifestStem(manifest_path);
+  EXPECT_EQ(RenderRun(*g, r, num_threads > 1), expected);
+}
+
+TEST_P(PlanEquivalenceTest, RowsMatchFrozenFixedOrder) {
+  CheckFrozenRows(GetParam(), 1);
+}
+
+TEST_P(PlanEquivalenceTest, RowsMatchFrozenFixedOrderOnPool) {
+  CheckFrozenRows(GetParam(), 2);
+}
+
+/// Writes the frozen-rows files from the fixed query-order path. Runs only
+/// with EQL_FREEZE_PLAN_ROWS=1; this is how tests/golden/plan_rows_*.txt
+/// were produced before that path was removed.
+TEST(PlanEquivalenceFreeze, WriteFixedOrderReferences) {
+  if (std::getenv("EQL_FREEZE_PLAN_ROWS") == nullptr) {
+    GTEST_SKIP() << "set EQL_FREEZE_PLAN_ROWS=1 to rewrite the references";
+  }
+  for (unsigned num_threads : {1u, 2u}) {
+    std::string text;
+    for (const std::string& path : ManifestFiles()) {
+      Manifest m = LoadManifest(path);
+      if (!m.check_rows) continue;
+      auto g = ParseGraphText(m.graph_text);
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      auto r = RunWithPlanner(*g, m.query, BindParams(m), /*planner=*/false,
+                              num_threads);
+      text += "== " + ManifestStem(path) + " ==\n";
+      text += RenderRun(*g, r, num_threads > 1);
+    }
+    std::ofstream out(FrozenRowsPath(num_threads), std::ios::binary);
+    out << text;
+    ASSERT_TRUE(out.good()) << FrozenRowsPath(num_threads);
+  }
+}
+
 std::string ManifestTestName(
     const ::testing::TestParamInfo<std::string>& info) {
   std::string stem = std::filesystem::path(info.param).stem().string();
@@ -311,6 +421,12 @@ TEST(PlanSkip, EmptyUpstreamStageSkipsLaterSearches) {
   }
 }
 
+/// The fixed query-order path's error for the query below, frozen before
+/// that path was removed.
+constexpr const char* kSeedValidationError =
+    "invalid_argument: CTP ?t: seed set 0 is empty (no node matched its "
+    "predicate)";
+
 TEST(PlanSkip, SkippedStagePreservesSeedValidationErrors) {
   Graph g = MakeFigure1Graph();
   // Even with the skip available (empty BGP), an empty seed set must raise
@@ -328,6 +444,7 @@ TEST(PlanSkip, SkippedStagePreservesSeedValidationErrors) {
     messages[planner ? 1 : 0] = r.status().ToString();
   }
   EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[0], kSeedValidationError);
   EXPECT_NE(messages[1].find("seed set"), std::string::npos) << messages[1];
 }
 
