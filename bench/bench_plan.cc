@@ -1,20 +1,24 @@
-// bench_plan — the cost-based plan layer (eval/plan.h) vs the fixed
-// textual-order path, on workloads written in deliberately pessimal order.
-//
-// Three measurements, all row-identical across the toggle (re-checked here
-// as a tripwire; byte-identity is pinned by tests/plan_equivalence_test.cc):
+// bench_plan — what the cost-based plan layer (eval/plan.h) saves, on
+// workloads written in deliberately pessimal order. Each measurement times
+// the planned execution against the searches a query-order execution would
+// run (its baseline), and checks the plan's deterministic counters:
 //   * pessimal ordering: an expensive CONNECT appears textually first and a
 //     cheap zero-result CONNECT last. The planner runs the cheap stage
-//     first, sees its empty table, and downgrades the expensive search to
-//     validation-only — the fixed path pays for the full enumeration.
+//     first, sees its empty table, and skips the expensive search (no tree
+//     built). Baseline: the expensive CONNECT alone.
 //   * in-query CSE: the same expensive table spec written twice; the
-//     planner runs one search and shares it, the fixed path runs both.
-//   * batch CSE: RunBatch over copies of the same query; later queries hit
-//     the batch-scoped cache.
+//     planner runs one search and the second stage shares it. Baseline: the
+//     single-spec query executed twice.
+//   * batch CSE: RunBatch over copies of the same query; every query after
+//     the first shares the batch-scoped result. Baseline: the query
+//     executed once per copy.
+// Rows are pinned by tests/plan_equivalence_test.cc; the row counts here
+// are a tripwire only.
 //
 // Usage: bench_plan [OUT.json]   (default BENCH_plan.json)
 // Honors EQL_BENCH_SCALE: 0 smoke, 1 default, 2 paper-scale.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -54,45 +58,53 @@ Graph MakePessimalGraph(int width, int layers) {
 }
 
 struct Timing {
-  double fixed_ms = 0;
+  double baseline_ms = 0;
   double planned_ms = 0;
-  size_t fixed_rows = 0;
+  size_t baseline_rows = 0;
   size_t planned_rows = 0;
-  double Speedup() const { return fixed_ms / (planned_ms > 0 ? planned_ms : 1e-9); }
+  double Speedup() const {
+    return baseline_ms / (planned_ms > 0 ? planned_ms : 1e-9);
+  }
 };
 
-/// Interleaved min-of-reps over Execute with the planner toggled per call,
-/// so host load drift cannot masquerade as a planner win.
-Timing Measure(const PreparedQuery& prepared, int iters, int reps) {
+/// Interleaved min-of-reps: each rep runs the baseline, then the planned
+/// work, so host load drift cannot masquerade as a planner win. Each
+/// callback returns the rows it produced.
+template <typename Baseline, typename Planned>
+Timing Measure(int reps, Baseline&& baseline, Planned&& planned) {
   Timing t;
-  ExecOptions fixed;
-  fixed.use_planner = false;
-  ExecOptions planned;
-  planned.use_planner = true;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch sw;
-    t.fixed_rows = 0;
-    for (int i = 0; i < iters; ++i) {
-      auto r = prepared.Execute({}, fixed);
-      if (r.ok()) t.fixed_rows += r->table.NumRows();
-    }
-    const double f = sw.ElapsedMs();
+    t.baseline_rows = baseline();
+    const double b = sw.ElapsedMs();
     sw.Restart();
-    t.planned_rows = 0;
-    for (int i = 0; i < iters; ++i) {
-      auto r = prepared.Execute({}, planned);
-      if (r.ok()) t.planned_rows += r->table.NumRows();
-    }
+    t.planned_rows = planned();
     const double p = sw.ElapsedMs();
-    if (rep == 0 || f < t.fixed_ms) t.fixed_ms = f;
+    if (rep == 0 || b < t.baseline_ms) t.baseline_ms = b;
     if (rep == 0 || p < t.planned_ms) t.planned_ms = p;
   }
   return t;
 }
 
+/// Rows of `iters` executions of `prepared`, or SIZE_MAX on an error.
+size_t ExecuteRows(const PreparedQuery& prepared, int iters) {
+  size_t rows = 0;
+  for (int i = 0; i < iters; ++i) {
+    auto r = prepared.Execute();
+    if (!r.ok()) return SIZE_MAX;
+    rows += r->table.NumRows();
+  }
+  return rows;
+}
+
+int Fail(const char* what) {
+  std::fprintf(stderr, "PLAN CHECK FAILED: %s\n", what);
+  return 1;
+}
+
 int Main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_plan.json";
-  bench::Banner("cost-based plan layer vs fixed textual order",
+  bench::Banner("cost-based plan layer vs the searches of query order",
                 "Section 3 (evaluation strategy; plan-layer extension)");
 
   const int scale = bench::Scale();
@@ -101,97 +113,102 @@ int Main(int argc, char** argv) {
   Graph g = MakePessimalGraph(width, layers);
   std::printf("layered DAG: %zu nodes, %zu edges (width %d, %d layers)\n",
               g.NumNodes(), g.NumEdges(), width, layers);
-  EqlEngine engine(g);  // planner on by default; toggled per Execute
+  EqlEngine engine(g);
 
   const int iters = scale == 0 ? 3 : 5;
   const int reps = 5;
-  const int max_edges = layers + 1;
+  const std::string max = " MAX " + std::to_string(layers + 1);
+  auto prepare = [&](const std::string& text) {
+    auto p = engine.Prepare(text);
+    if (!p.ok()) {
+      std::fprintf(stderr, "%s\n", p.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(p).value();
+  };
 
   // ---- Pessimal ordering: expensive search first, empty cheap probe last.
-  const std::string pessimal =
-      "SELECT ?big ?none WHERE { "
-      "CONNECT(\"S\", \"T\" -> ?big) MAX " + std::to_string(max_edges) + " "
-      "CONNECT(\"lone0\", \"lone1\" -> ?none) MAX 1 }";
-  auto pq = engine.Prepare(pessimal);
-  if (!pq.ok()) {
-    std::fprintf(stderr, "%s\n", pq.status().ToString().c_str());
-    return 1;
+  const std::string big_text =
+      "SELECT ?t WHERE { CONNECT(\"S\", \"T\" -> ?t)" + max + " }";
+  const PreparedQuery big = prepare(big_text);
+  const PreparedQuery pessimal = prepare(
+      "SELECT ?big ?none WHERE { CONNECT(\"S\", \"T\" -> ?big)" + max +
+      " CONNECT(\"lone0\", \"lone1\" -> ?none) MAX 1 }");
+  const Timing order = Measure(
+      reps, [&] { return ExecuteRows(big, iters); },
+      [&] { return ExecuteRows(pessimal, iters); });
+  auto pessimal_run = pessimal.Execute();
+  if (!pessimal_run.ok() || pessimal_run->ctp_runs.size() != 2) {
+    return Fail("pessimal query did not run");
   }
-  const Timing order = Measure(*pq, iters, reps);
-  if (order.fixed_rows != order.planned_rows) {
-    std::fprintf(stderr, "PLAN MISMATCH (pessimal): %zu fixed vs %zu planned\n",
-                 order.fixed_rows, order.planned_rows);
-    return 1;
+  const CtpRunInfo& big_run = pessimal_run->ctp_runs[0];
+  if (order.planned_rows != 0 || order.baseline_rows == 0 ||
+      order.baseline_rows == SIZE_MAX) {
+    return Fail("pessimal row counts");
+  }
+  if (!big_run.skipped || big_run.stats.trees_built != 0) {
+    return Fail("pessimal: the expensive stage was searched, not skipped");
   }
   std::printf(
-      "pessimal order: fixed %8.2f ms | planned %8.2f ms | %5.2fx "
+      "pessimal order: search %8.2f ms | planned %8.2f ms | %5.2fx "
       "(empty probe first, big search skipped; %zu rows)\n",
-      order.fixed_ms, order.planned_ms, order.Speedup(), order.planned_rows);
+      order.baseline_ms, order.planned_ms, order.Speedup(), order.planned_rows);
 
   // ---- In-query CSE: the identical expensive spec twice.
   // TOP keeps the cross-product join bounded (32x32 rows) while the search
   // still has to enumerate every minimal tree — the cost being shared.
-  const std::string dup =
-      "SELECT ?t1 ?t2 WHERE { "
-      "CONNECT(\"S\", \"T\" -> ?t1) MAX " + std::to_string(max_edges) +
-      " SCORE edge_count TOP 32 "
-      "CONNECT(\"S\", \"T\" -> ?t2) MAX " + std::to_string(max_edges) +
-      " SCORE edge_count TOP 32 }";
-  auto dq = engine.Prepare(dup);
-  if (!dq.ok()) {
-    std::fprintf(stderr, "%s\n", dq.status().ToString().c_str());
-    return 1;
+  const std::string spec = max + " SCORE edge_count TOP 32";
+  const PreparedQuery one =
+      prepare("SELECT ?t1 WHERE { CONNECT(\"S\", \"T\" -> ?t1)" + spec + " }");
+  const PreparedQuery dup = prepare(
+      "SELECT ?t1 ?t2 WHERE { CONNECT(\"S\", \"T\" -> ?t1)" + spec +
+      " CONNECT(\"S\", \"T\" -> ?t2)" + spec + " }");
+  const Timing cse = Measure(
+      reps, [&] { return ExecuteRows(one, /*iters=*/2); },
+      [&] { return ExecuteRows(dup, /*iters=*/1); });
+  auto dup_run = dup.Execute();
+  if (!dup_run.ok() || dup_run->ctp_runs.size() != 2) {
+    return Fail("in-query CSE query did not run");
   }
-  const Timing cse = Measure(*dq, /*iters=*/1, reps);
-  if (cse.fixed_rows != cse.planned_rows) {
-    std::fprintf(stderr, "PLAN MISMATCH (cse): %zu fixed vs %zu planned\n",
-                 cse.fixed_rows, cse.planned_rows);
-    return 1;
+  const bool cse_shared = dup_run->ctp_runs[1].shared;
+  const size_t one_rows = cse.baseline_rows / 2;
+  if (cse.planned_rows != one_rows * one_rows || one_rows == 0) {
+    return Fail("in-query CSE row counts");
   }
+  if (!cse_shared) return Fail("in-query CSE: the second stage searched again");
   std::printf(
-      "in-query CSE:   fixed %8.2f ms | planned %8.2f ms | %5.2fx "
+      "in-query CSE:   2 searches %8.2f ms | planned %8.2f ms | %5.2fx "
       "(one search shared by both tables; %zu rows)\n",
-      cse.fixed_ms, cse.planned_ms, cse.Speedup(), cse.planned_rows);
+      cse.baseline_ms, cse.planned_ms, cse.Speedup(), cse.planned_rows);
 
   // ---- Batch CSE: the same single-CTP query N times through RunBatch.
-  const std::string single =
-      "SELECT ?t WHERE { CONNECT(\"S\", \"T\" -> ?t) MAX " +
-      std::to_string(max_edges) + " }";
   const int batch_n = 4;
-  std::vector<std::string_view> batch(batch_n, single);
-  double batch_fixed_ms = 0, batch_planned_ms = 0;
-  size_t batch_rows[2] = {0, 0};
-  EngineOptions off_opts;
-  off_opts.use_planner = false;
-  EqlEngine off_engine(g, off_opts);
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch sw;
-    auto fixed_results = off_engine.RunBatch(batch);
-    const double f = sw.ElapsedMs();
-    sw.Restart();
-    auto planned_results = engine.RunBatch(batch);
-    const double p = sw.ElapsedMs();
-    if (rep == 0 || f < batch_fixed_ms) batch_fixed_ms = f;
-    if (rep == 0 || p < batch_planned_ms) batch_planned_ms = p;
-    batch_rows[0] = batch_rows[1] = 0;
-    for (const auto& r : fixed_results) {
-      if (r.ok()) batch_rows[0] += r->table.NumRows();
-    }
-    for (const auto& r : planned_results) {
-      if (r.ok()) batch_rows[1] += r->table.NumRows();
-    }
+  const std::vector<std::string_view> batch(batch_n, big_text);
+  size_t batch_shared = 0;
+  const Timing batched = Measure(
+      reps, [&] { return ExecuteRows(big, batch_n); },
+      [&] {
+        size_t rows = 0;
+        batch_shared = 0;
+        for (const auto& r : engine.RunBatch(batch)) {
+          if (!r.ok()) return SIZE_MAX;
+          rows += r->table.NumRows();
+          for (const CtpRunInfo& run : r->ctp_runs) batch_shared += run.shared;
+        }
+        return rows;
+      });
+  if (batched.planned_rows != batched.baseline_rows ||
+      batched.planned_rows == SIZE_MAX) {
+    return Fail("batch CSE row counts");
   }
-  if (batch_rows[0] != batch_rows[1]) {
-    std::fprintf(stderr, "PLAN MISMATCH (batch): %zu fixed vs %zu planned\n",
-                 batch_rows[0], batch_rows[1]);
-    return 1;
+  if (batch_shared != static_cast<size_t>(batch_n - 1)) {
+    return Fail("batch CSE: a later query searched again");
   }
   std::printf(
-      "batch CSE (%d): fixed %8.2f ms | planned %8.2f ms | %5.2fx "
+      "batch CSE (%d):  %d searches %8.2f ms | planned %8.2f ms | %5.2fx "
       "(first search reused by the rest; %zu rows)\n",
-      batch_n, batch_fixed_ms, batch_planned_ms,
-      batch_fixed_ms / (batch_planned_ms > 0 ? batch_planned_ms : 1e-9),
-      batch_rows[1]);
+      batch_n, batch_n, batched.baseline_ms, batched.planned_ms,
+      batched.Speedup(), batched.planned_rows);
 
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -204,19 +221,23 @@ int Main(int argc, char** argv) {
       "  \"bench\": \"plan_layer\",\n"
       "  \"graph\": {\"nodes\": %zu, \"edges\": %zu, \"width\": %d, "
       "\"layers\": %d},\n"
-      "  \"pessimal\": {\"fixed_ms\": %.3f, \"planned_ms\": %.3f, "
-      "\"speedup\": %.3f, \"rows\": %zu},\n"
-      "  \"cse\": {\"fixed_ms\": %.3f, \"planned_ms\": %.3f, "
-      "\"speedup\": %.3f, \"rows\": %zu},\n"
-      "  \"batch\": {\"queries\": %d, \"fixed_ms\": %.3f, "
-      "\"planned_ms\": %.3f, \"speedup\": %.3f, \"rows\": %zu}\n"
+      "  \"pessimal\": {\"baseline_ms\": %.3f, \"planned_ms\": %.3f, "
+      "\"speedup\": %.3f, \"rows\": %zu, \"skipped\": %s, "
+      "\"trees_built\": %llu},\n"
+      "  \"cse\": {\"baseline_ms\": %.3f, \"planned_ms\": %.3f, "
+      "\"speedup\": %.3f, \"rows\": %zu, \"shared\": %s},\n"
+      "  \"batch\": {\"queries\": %d, \"baseline_ms\": %.3f, "
+      "\"planned_ms\": %.3f, \"speedup\": %.3f, \"rows\": %zu, "
+      "\"shared\": %zu}\n"
       "}\n",
-      g.NumNodes(), g.NumEdges(), width, layers, order.fixed_ms,
-      order.planned_ms, order.Speedup(), order.planned_rows, cse.fixed_ms,
-      cse.planned_ms, cse.Speedup(), cse.planned_rows, batch_n, batch_fixed_ms,
-      batch_planned_ms,
-      batch_fixed_ms / (batch_planned_ms > 0 ? batch_planned_ms : 1e-9),
-      batch_rows[1]);
+      g.NumNodes(), g.NumEdges(), width, layers, order.baseline_ms,
+      order.planned_ms, order.Speedup(), order.planned_rows,
+      big_run.skipped ? "true" : "false",
+      static_cast<unsigned long long>(big_run.stats.trees_built),
+      cse.baseline_ms, cse.planned_ms, cse.Speedup(), cse.planned_rows,
+      cse_shared ? "true" : "false", batch_n, batched.baseline_ms,
+      batched.planned_ms, batched.Speedup(), batched.planned_rows,
+      batch_shared);
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path);
   return 0;

@@ -125,7 +125,6 @@ Result<CtpBindingAnalysis> AnalyzeCtpBindings(
         src.kind = CtpMemberSource::Kind::kCtpTable;
         src.source = j;
         deps.push_back(j);
-        out.dependent_ctps = true;
       } else if (!m.IsEmpty()) {
         src.kind = CtpMemberSource::Kind::kPredicate;
       } else {

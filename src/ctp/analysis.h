@@ -93,8 +93,6 @@ struct CtpMemberSource {
 struct CtpBindingAnalysis {
   std::vector<std::vector<CtpMemberSource>> member_sources;
   std::vector<std::vector<size_t>> ctp_deps;
-  /// Some CTP seeds from an earlier CTP's table (legacy serial-mode trigger).
-  bool dependent_ctps = false;
 };
 
 /// Computes the binding analysis for a validated query. `bgp_groups` lists
@@ -103,8 +101,8 @@ struct CtpBindingAnalysis {
 /// Rejects (InvalidArgument) cyclic `$`-free member dependencies: two or
 /// more CTPs chained only through mutually free members (no predicate
 /// conditions, no parameters, no BGP binding), leaving some CTP of the chain
-/// with every seed set universal. The fixed-order engine used to surface
-/// this as a confusing runtime "all seed sets are universal" error; it is a
+/// with every seed set universal. The engine used to surface this as a
+/// confusing runtime "all seed sets are universal" error; it is a
 /// query bug — the CTPs reference each other's bindings in a cycle — and is
 /// now diagnosed as such at Prepare. A single all-free CTP keeps its
 /// existing behavior (Section 4.9 universal handling / runtime error), and

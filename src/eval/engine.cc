@@ -198,11 +198,11 @@ Result<CtpFilters> CompileFilters(const Graph& g, const CtpFilterSpec& spec,
 /// Step (C)'s join order: tables sharing columns first, cross products last.
 /// Takes pointers so callers can pick a subset of the stage tables (the
 /// streaming path joins everything except the final CTP's); the input order
-/// is the stage-id order in both planner modes, which is what makes
-/// planner-ON rows identical to planner-OFF. `consume` moves out of the
-/// tables (the one-shot path); false copies the first table so the stage
-/// tables stay usable (the streaming path still derives the final CTP's
-/// seeds from them).
+/// is the stage-id order whatever order the stages ran in, which is what
+/// makes the rows independent of the execution order. `consume` moves out
+/// of the tables (the one-shot path); false copies the first table so the
+/// stage tables stay usable (the streaming path still derives the final
+/// CTP's seeds from them).
 BindingTable GreedyJoin(std::vector<BindingTable*> tables, bool consume) {
   BindingTable acc;
   if (tables.empty()) return acc;
@@ -386,13 +386,11 @@ Result<QueryResult> PreparedQuery::Execute(const ParamMap& params,
 }
 
 std::string PreparedQuery::Explain() const {
-  return RenderExplain(plan_->physical, plan_->query, engine_->g_,
-                       engine_->options_.use_planner);
+  return RenderExplain(plan_->physical, plan_->query, engine_->g_);
 }
 
 std::string PreparedQuery::Explain(const QueryResult& result) const {
-  return RenderExplain(plan_->physical, plan_->query, engine_->g_,
-                       engine_->options_.use_planner, &result);
+  return RenderExplain(plan_->physical, plan_->query, engine_->g_, &result);
 }
 
 // ---------------------------------------------------------------------------
@@ -688,7 +686,6 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
   // ---- Merge the per-call overrides into this execution's environment.
   ExecEnv env;
   env.opts = options_;
-  if (exec_opts.use_planner) env.opts.use_planner = *exec_opts.use_planner;
   if (exec_opts.ctp_timeout_ms) {
     env.opts.default_ctp_timeout_ms = *exec_opts.ctp_timeout_ms;
   }
@@ -728,14 +725,10 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     stream->sink->OnSchema(plan.schema);
   }
 
-  // Fault injection arms sites at fixed stage positions, so it forces the
-  // fixed-order path (the planner would move/skip the sites tests aim at).
-  const bool planner = env.opts.use_planner && env.fault == nullptr;
-
   // ---- Step (A): evaluate every BGP into a binding table. Tables live in a
-  // stage-id-indexed vector (BGP groups first, then CTPs in query order):
-  // both planner modes join them in that fixed order, which is what makes
-  // the projected rows mode-independent.
+  // stage-id-indexed vector (BGP groups first, then CTPs in query order) and
+  // are joined in that order, whatever order the CTP stages ran in — which
+  // is what keeps the projected rows independent of the execution order.
   Stopwatch sw;
   const PhysicalPlan& pp = plan.physical;
   const size_t num_stages = pp.stages.size();
@@ -754,12 +747,10 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
   out->bgp_ms = sw.ElapsedMs();
 
   // ---- Step (B): evaluate every CTP against seed sets from its plan-time
-  // sources. Fixed mode runs query order (or all-concurrent when
-  // independent); planner mode runs the cost-ascending topological order in
-  // dependency waves, skips searches once an upstream table is empty, and
-  // shares identical table specs.
+  // sources, in the plan's cost-ascending topological order, as dependency
+  // waves; searches are skipped once an upstream table is empty, and
+  // identical table specs share one search.
   sw.Restart();
-  const bool dependent = pp.binding.dependent_ctps;
   std::vector<CtpStage> stages(q.ctps.size());
   std::vector<char> stitched(num_stages, 1);  // BGP stages stitched above
   for (size_t i = 0; i < q.ctps.size(); ++i) stitched[pp.CtpStageId(i)] = 0;
@@ -767,14 +758,15 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
   // Stitches stage i's CTP table (member vars + tree handle) into its
   // stage-id slot, offsetting the stage-local tree indexes into the query's
   // registry. Run info stays in `stages` — telemetry is assembled in query
-  // order after step (B) so both modes report identically-ordered ctp_runs.
+  // order after step (B), so ctp_runs follows the query text, not the
+  // execution order.
   auto stitch = [&](size_t i) {
     CtpStage& stage = stages[i];
     const CtpPattern& ctp = q.ctps[i];
     const size_t sid = pp.CtpStageId(i);
     // Batch-scoped CSE: publish complete, clean results of shareable specs
     // before the rows move into the table.
-    if (planner && batch_cse != nullptr && !pp.stages[sid].cse_key.empty() &&
+    if (batch_cse != nullptr && !pp.stages[sid].cse_key.empty() &&
         !stage.run.shared && !stage.run.skipped && !stage.run.streamed_rows &&
         stage.run.stats.complete &&
         stage.run.stats.Outcome() == SearchOutcome::kOk) {
@@ -796,7 +788,7 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     const uint32_t tree_offset = static_cast<uint32_t>(out->trees.size());
     // An in-query CSE canonical's rows/trees must survive the stitch: later
     // stages copy them instead of searching again.
-    const bool keep = planner && pp.stages[sid].shared_by_later;
+    const bool keep = pp.stages[sid].shared_by_later;
     for (size_t r = 0; r < stage.rows.size(); ++r) {
       std::vector<uint32_t> row =
           keep ? stage.rows[r] : std::move(stage.rows[r]);
@@ -813,7 +805,7 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     stitched[sid] = 1;
   };
 
-  // CSE resolution for a planner-mode stage: copy the canonical stage's (or
+  // CSE resolution for a stage: copy the canonical stage's (or
   // a batch sibling's) rows/trees instead of searching. Only complete, clean
   // results are shared — a hit therefore implies the donor's identical
   // validation succeeded, so no error path is masked.
@@ -848,42 +840,11 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     return false;
   };
 
-  // Fixed-order path: runs and stitches the first `count` CTP stages —
-  // concurrently on the pool when the stages are independent, serially
-  // (tables threaded through) otherwise. Byte-identical to the engine
-  // before the plan layer existed.
-  auto run_stages_fixed = [&](size_t count) -> Status {
-    if (!dependent && env.executor != nullptr && count > 1) {
-      std::vector<Status> stage_status(count);
-      CtpExecutor::TaskGroup group;
-      for (size_t i = 0; i < count; ++i) {
-        env.executor->Submit(
-            &group, [this, &q, &plan, &env, &tables, &stages, &stage_status, i] {
-              stage_status[i] = EvalOneCtp(q.ctps[i], i, plan, env, tables,
-                                           /*skip_search=*/false, &stages[i]);
-            });
-      }
-      env.executor->Wait(&group);
-      for (size_t i = 0; i < count; ++i) {
-        if (!stage_status[i].ok()) return stage_status[i];
-        stitch(i);
-      }
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        Status st = EvalOneCtp(q.ctps[i], i, plan, env, tables,
-                               /*skip_search=*/false, &stages[i]);
-        if (!st.ok()) return st;
-        stitch(i);  // before the next CTP: it may seed from this table
-      }
-    }
-    return Status::Ok();
-  };
-
-  // Planner path: consumes a topological order of CTP stage ids. With a
-  // pool, each wave is every not-yet-run stage whose dependencies are
-  // stitched (independent chains overlap); without one, waves have size one
-  // and execution follows the cost order exactly.
-  auto run_stages_planned = [&](std::vector<size_t> remaining) -> Status {
+  // Runs a topological order of CTP stage ids. With a pool, each wave is
+  // every not-yet-run stage whose dependencies are stitched (independent
+  // chains overlap); without one, waves have size one and execution follows
+  // the cost order exactly.
+  auto run_stages = [&](std::vector<size_t> remaining) -> Status {
     while (!remaining.empty()) {
       std::vector<size_t> wave, rest;
       for (size_t sid : remaining) {
@@ -930,11 +891,7 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
   };
 
   if (stream == nullptr) {
-    if (planner) {
-      EQL_RETURN_IF_ERROR(run_stages_planned(pp.ctp_exec_order));
-    } else {
-      EQL_RETURN_IF_ERROR(run_stages_fixed(q.ctps.size()));
-    }
+    EQL_RETURN_IF_ERROR(run_stages(pp.ctp_exec_order));
     out->ctp_ms = sw.ElapsedMs();
   } else if (!q.ctps.empty()) {
     // Streaming path: all CTPs but the last run exactly as above; the last
@@ -943,13 +900,9 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     // results — its rows leave through the sink.
     const size_t last = q.ctps.size() - 1;
     const size_t last_sid = pp.CtpStageId(last);
-    if (planner) {
-      std::vector<size_t> order = pp.ctp_exec_order_streaming;
-      order.pop_back();  // the final CTP streams below
-      EQL_RETURN_IF_ERROR(run_stages_planned(std::move(order)));
-    } else {
-      EQL_RETURN_IF_ERROR(run_stages_fixed(last));
-    }
+    std::vector<size_t> order = pp.ctp_exec_order_streaming;
+    order.pop_back();  // the final CTP streams below
+    EQL_RETURN_IF_ERROR(run_stages(std::move(order)));
 
     // Pre-join every table except the streaming CTP's (which does not exist
     // yet): each emitted tree then joins against this one context table.
@@ -971,8 +924,7 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     stream->ctp_kinds.push_back(ColKind::kTree);
 
     Status st = EvalOneCtp(ctp, last, plan, env, tables,
-                           /*skip_search=*/planner && empty_stage,
-                           &stages[last]);
+                           /*skip_search=*/empty_stage, &stages[last]);
     if (!st.ok()) return st;
     // TOP-k / chunk-parallel stages materialize first; emit their final
     // result order now (still incremental relative to the join and any
@@ -1079,17 +1031,16 @@ std::vector<Result<QueryResult>> EqlEngine::RunBatch(
   // One CSE store per batch: queries repeating a self-grounded CTP table
   // spec (a common dashboard shape) search once and share the result.
   BatchCseCache batch_cse;
-  BatchCseCache* cse = options_.use_planner ? &batch_cse : nullptr;
   std::vector<std::optional<Result<QueryResult>>> staged(queries.size());
   if (executor_ == nullptr || queries.size() <= 1) {
     for (size_t i = 0; i < queries.size(); ++i) {
-      staged[i].emplace(RunWithCse(queries[i], cse));
+      staged[i].emplace(RunWithCse(queries[i], &batch_cse));
     }
   } else {
     CtpExecutor::TaskGroup group;
     for (size_t i = 0; i < queries.size(); ++i) {
-      executor_->Submit(&group, [this, &staged, &queries, cse, i] {
-        staged[i].emplace(RunWithCse(queries[i], cse));
+      executor_->Submit(&group, [this, &staged, &queries, &batch_cse, i] {
+        staged[i].emplace(RunWithCse(queries[i], &batch_cse));
       });
     }
     executor_->Wait(&group);

@@ -24,9 +24,9 @@
 //     as the CTP search produces connecting trees; Cursor wraps that in a
 //     pull interface. Early stop cancels the underlying searches, including
 //     chunk workers on the pool.
-//   * Per-call overrides: ExecOptions adjusts timeouts, TOP-k, chunking,
-//     the algorithm and the planner per Execute, so one long-lived engine +
-//     pool serves heterogeneous traffic.
+//   * Per-call overrides: ExecOptions adjusts timeouts, TOP-k, chunking
+//     and the algorithm per Execute, so one long-lived engine + pool serves
+//     heterogeneous traffic.
 //
 // Failure semantics (the resource-governor / graceful-degradation contract):
 //   * Resource exhaustion is an *outcome*, not an error. A query that hits a
@@ -67,23 +67,24 @@
 //     saturating branching series for CTP searches, index-scan sizes for
 //     BGP scans. Deterministic (pure integer/IEEE arithmetic, no clocks),
 //     so EXPLAIN output is stable across runs and machines.
-//   * With EngineOptions::use_planner (default on; per-call override
-//     ExecOptions::use_planner), independent CTP stages execute in
-//     cost-ascending order instead of query order, stages that can no
-//     longer contribute rows (an upstream stage produced an empty table)
-//     skip their search — seed derivation and its error paths still run, so
-//     diagnostics do not change — and CTPs with identical self-grounded
-//     table specs share one search (also across RunBatch). Dependent stages
-//     run as DAG waves on the pool instead of fully serially.
+//   * Every execution runs the CTP stages in the plan's one order: a
+//     cost-ascending topological order of the dependency DAG, as waves on
+//     the pool (stages whose dependencies are done run concurrently).
+//     Stages that can no longer contribute rows (an upstream stage
+//     produced an empty table) skip their search — seed derivation and its
+//     error paths still run, so diagnostics are those of a full run — and
+//     CTPs with identical self-grounded table specs share one search (also
+//     across RunBatch).
 //   * The planner never changes WHERE a seed set comes from — CTP results
 //     are defined relative to their full seed sets (Def 2.8), so binding
-//     sources are pinned at plan time. Final-join input order is the fixed
-//     stage order in both modes; consequently use_planner=false is
-//     byte-identical to the pre-planner engine, and use_planner=true
-//     returns the same projected rows (telemetry, tree-registry indexing
-//     and which of several possible errors surfaces first may differ).
-//     Deterministic fault injection (ExecOptions::fault) forces the fixed
-//     order so armed sites fire where tests expect them.
+//     sources are pinned at plan time and the execution order cannot change
+//     a CTP's table. The final join consumes the tables in stage-id order
+//     (BGP groups, then CTPs in query order), not execution order, so the
+//     projected rows are those of running the stages in query order;
+//     tests/golden/plan_rows_*.txt pins them against references taken
+//     from that order. ctp_runs is likewise indexed in query order, and
+//     deterministic fault injection (ExecOptions::fault) probes its sites
+//     along this same order.
 //   * PreparedQuery::Explain() renders the plan tree with estimates;
 //     Explain(result) adds per-stage actual cardinalities and outcomes.
 //     eql_shell exposes both as `.explain` / `--explain` and `.stats`.
@@ -163,12 +164,6 @@ struct EngineOptions {
   /// budget (CTPs run against recycled arenas, not cumulatively); parallel
   /// chunks split it equally.
   uint64_t default_memory_budget_bytes = 0;
-  /// Cost-based stage execution (see "Planning & EXPLAIN" above): reorder
-  /// independent CTP stages cheapest-first, short-circuit stages that
-  /// cannot contribute rows, share identical self-grounded CTP searches,
-  /// and run dependent stages as DAG waves. false = the fixed query-order
-  /// path, byte-identical to the pre-planner engine.
-  bool use_planner = true;
 };
 
 /// Per-call overrides for one Execute/Run: every set field supersedes the
@@ -190,8 +185,6 @@ struct ExecOptions {
   std::optional<unsigned> num_threads;
   std::optional<AlgorithmKind> algorithm;
   std::optional<bool> adaptive_algorithm;
-  /// Overrides EngineOptions::use_planner for this call.
-  std::optional<bool> use_planner;
   /// Per-query memory budget for this call (bytes; 0 = unlimited).
   /// Overrides EngineOptions::default_memory_budget_bytes.
   std::optional<uint64_t> memory_budget_bytes;

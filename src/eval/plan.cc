@@ -229,11 +229,10 @@ Result<PhysicalPlan> BuildPhysicalPlan(const Query& q, const Graph& g,
 }
 
 std::string RenderExplain(const PhysicalPlan& plan, const Query& q,
-                          const Graph& g, bool planner_on,
-                          const QueryResult* actuals) {
+                          const Graph& g, const QueryResult* actuals) {
   std::string out = StrFormat(
-      "plan: planner=%s  cost-unit=edge-visits  graph: %zu nodes, %zu edges\n",
-      planner_on ? "on" : "off", g.NumNodes(), g.NumEdges());
+      "plan: cost-unit=edge-visits  graph: %zu nodes, %zu edges\n",
+      g.NumNodes(), g.NumEdges());
   out += "  project [";
   for (size_t i = 0; i < q.head.size(); ++i) {
     out += (i > 0 ? " ?" : "?") + q.head[i];
@@ -307,12 +306,8 @@ std::string RenderExplain(const PhysicalPlan& plan, const Query& q,
     }
   }
   if (!plan.ctp_exec_order.empty()) {
-    out += "  ctp exec order" + std::string(planner_on ? "" : " (fixed)") + ": ";
-    std::vector<size_t> order = plan.ctp_exec_order;
-    if (!planner_on) {
-      order.clear();
-      for (size_t i = 0; i < q.ctps.size(); ++i) order.push_back(plan.CtpStageId(i));
-    }
+    out += "  ctp exec order: ";
+    const std::vector<size_t>& order = plan.ctp_exec_order;
     for (size_t i = 0; i < order.size(); ++i) {
       out += StrFormat(i > 0 ? " -> s%zu" : "s%zu", order[i]);
     }

@@ -26,10 +26,10 @@
 // searches are deterministic), short-circuits stages that cannot contribute
 // rows (any empty stage table empties the final join), and shares
 // byte-identical work. The final join consumes stage tables in stage-id
-// order in both modes, so planner-ON produces the same projected rows as
-// planner-OFF (the tree-registry indexing and per-stage telemetry may
-// differ; rows do not). Timeout-carrying CTPs are excluded from sharing —
-// their truncation point is wall-clock-dependent.
+// order, not execution order, so the projected rows are those of running
+// the stages in query order (the tree-registry indexing and per-stage
+// telemetry may differ; rows do not). Timeout-carrying CTPs are excluded
+// from sharing — their truncation point is wall-clock-dependent.
 //
 // EXPLAIN renders the plan tree with the estimates, and — given a
 // QueryResult — the post-execution actuals (rows, trees, algorithm, view,
@@ -38,7 +38,7 @@
 // what makes the golden tests in tests/explain_golden_test.cc possible.
 //
 // Internal header (not in the public allowlist); the public surface is
-// EngineOptions::use_planner + PreparedQuery::Explain in eval/engine.h.
+// PreparedQuery::Explain in eval/engine.h.
 #ifndef EQL_EVAL_PLAN_H_
 #define EQL_EVAL_PLAN_H_
 
@@ -88,10 +88,10 @@ struct PlanStage {
 };
 
 /// The lowered, ordered plan. Stages are in stage-id order — BGP groups
-/// first (group order), then CTPs (query order) — and stage ids are stable
-/// across planner on/off: the fixed-order path is simply "execute in
-/// stage-id order", which is how planner-OFF reproduces the legacy engine
-/// byte-for-byte.
+/// first (group order), then CTPs (query order). Execution follows
+/// ctp_exec_order, but the final join reads the stage tables in stage-id
+/// order, which is what keeps the projected rows independent of the
+/// execution order.
 struct PhysicalPlan {
   size_t num_bgps = 0;
   /// Pattern indexes of each BGP group (GroupIntoBgps order); structural,
@@ -124,10 +124,9 @@ Result<PhysicalPlan> BuildPhysicalPlan(const Query& q, const Graph& g,
 /// QueryResult of this query's execution), each stage line is annotated
 /// with actual cardinalities and outcome — times are deliberately omitted
 /// so the text stays machine-independent (the shell's `.stats` dump covers
-/// timing). `planner_on` only changes the header and exec-order note.
+/// timing).
 std::string RenderExplain(const PhysicalPlan& plan, const Query& q,
-                          const Graph& g, bool planner_on,
-                          const QueryResult* actuals = nullptr);
+                          const Graph& g, const QueryResult* actuals = nullptr);
 
 }  // namespace eql
 

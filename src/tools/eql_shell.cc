@@ -30,16 +30,13 @@
 //   --max-rows N      print at most N result rows per query (default 20)
 //   --stats           print per-CTP search statistics
 //   --explain         print the query plan (with post-execution actuals)
-//                     after each query
-//   --no-planner      disable cost-based stage ordering / skipping / CSE;
-//                     stages run in fixed query order (results are identical
-//                     either way — see "Planning & EXPLAIN" in eval/engine.h)
+//                     after each query; CTP stages run in the plan's cost
+//                     order (see "Planning & EXPLAIN" in eval/engine.h)
 //   --demo            load the paper's Figure 1 graph instead of a file
 //
 // Interactive / piped mode additionally understands dot-commands on their
 // own line:
 //   .parallel N       switch CTP parallelism to N chunks (0 = sequential)
-//   .planner on|off   toggle the cost-based planner
 //   .explain on|off   toggle the per-query plan printout
 //   .stats on|off     toggle the per-CTP statistics dump (rows, trees,
 //                     time, view/skip/share flags, outcome)
@@ -147,7 +144,7 @@ int Usage(const char* argv0) {
                "       [--parallel N] [--timeout MS] [--query-timeout MS]\n"
                "       [--memory-budget BYTES] [--stream] [--format table|tsv|json]\n"
                "       [--max-rows N] [--stats]\n"
-               "       [--explain] [--no-planner]\n"
+               "       [--explain]\n"
                "       [-q QUERY]...\n",
                argv0);
   return kExitUsage;
@@ -184,8 +181,6 @@ bool ParseArgs(int argc, char** argv, ShellArgs* args) {
       args->stats = true;
     } else if (a == "--explain") {
       args->explain = true;
-    } else if (a == "--no-planner") {
-      args->options.use_planner = false;
     } else if (a == "--adaptive") {
       args->options.adaptive_algorithm = true;
     } else if (a == "--algorithm") {
@@ -513,12 +508,12 @@ int Main(int argc, char** argv) {
   std::fprintf(
       stderr,
       "enter queries terminated by ';' (.parallel N | "
-      ".planner on|off | .explain on|off | .stats [on|off] | .open FILE | "
+      ".explain on|off | .stats [on|off] | .open FILE | "
       ".stream on|off | .batch FILE | .prepare NAME Q; | .bind NAME $k=v | "
       ".run NAME | Ctrl-D)\n");
   std::string buffer, line;
   // Prepared-query registry: handles borrow the engine, so rebuilding the
-  // engine (.parallel / .planner / .open) invalidates and clears them.
+  // engine (.parallel / .open) invalidates and clears them.
   std::map<std::string, PreparedQuery> prepared_queries;
   std::map<std::string, ParamMap> bound_params;
   std::string pending_prepare;  ///< name awaiting its ';'-terminated text
@@ -586,14 +581,6 @@ int Main(int argc, char** argv) {
         } else {
           std::printf("parallel: off (sequential CTP evaluation)\n");
         }
-      } else if (name == ".planner") {
-        if (arg != "on" && arg != "off") {
-          std::printf(".planner expects 'on' or 'off'\n");
-          continue;
-        }
-        args.options.use_planner = arg == "on";
-        rebuild_engine();
-        std::printf("cost-based planner: %s\n", arg.c_str());
       } else if (name == ".explain") {
         if (arg != "on" && arg != "off") {
           std::printf(".explain expects 'on' or 'off'\n");
@@ -618,12 +605,9 @@ int Main(int argc, char** argv) {
                         source.mapped_bytes / 1e6, source.open_ms);
           }
           std::printf(
-              "options: parallel=%u planner=%s explain=%s ctp-stats=%s "
-              "stream=%s\n",
-              args.options.num_threads,
-              args.options.use_planner ? "on" : "off",
-              args.explain ? "on" : "off", args.stats ? "on" : "off",
-              args.stream ? "on" : "off");
+              "options: parallel=%u explain=%s ctp-stats=%s stream=%s\n",
+              args.options.num_threads, args.explain ? "on" : "off",
+              args.stats ? "on" : "off", args.stream ? "on" : "off");
           continue;
         }
         if (arg != "on" && arg != "off") {
@@ -716,8 +700,8 @@ int Main(int argc, char** argv) {
                         pit != bound_params.end() ? pit->second : ParamMap()));
       } else {
         std::printf(
-            "unknown command '%s' (try .parallel N, .planner on|off, "
-            ".explain on|off, .stats [on|off], "
+            "unknown command '%s' (try .parallel N, .explain on|off, "
+            ".stats [on|off], "
             ".open FILE, .stream on|off, .batch FILE, .prepare, .bind "
             "or .run)\n",
             name.c_str());

@@ -1,6 +1,5 @@
 // Differential conformance loop: randomized graphs cross-checked across
-// algorithms, the planner toggle, chunk counts, parameter binding and the
-// resource governor. Every run prints its seed; reproduce a failure with
+// algorithms, chunk counts, parameter binding and the resource governor. Every run prints its seed; reproduce a failure with
 //   EQL_DIFF_SEED=<seed> ctest -R differential
 // Iteration counts are deliberately small — this is a regression net, the
 // open-ended exploration lives in fuzz/.
@@ -90,34 +89,6 @@ TEST(DifferentialTest, ChunkCountNeverChangesTheAnswer) {
     auto out = EvaluateCtpParallel(g, *seeds, {}, opts);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(ParallelCanonical(*out), oracle) << chunks << " chunks";
-  }
-}
-
-TEST(DifferentialTest, PlannerToggleIsByteIdentical) {
-  Rng rng(DiffSeed() + 2);
-  Graph g = MakeRandomGraph(14, 24, &rng);
-  EqlEngine engine(g);
-  const char* query =
-      "SELECT ?t WHERE { CONNECT (\"n0\", \"n1\" -> ?t) "
-      "SCORE edge_count TOP 5 }";
-  auto prepared = engine.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-
-  auto rows = [&](const ExecOptions& exec) {
-    auto r = prepared->Execute({}, exec);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    std::vector<std::string> out;
-    for (size_t i = 0; r.ok() && i < r->table.NumRows(); ++i) {
-      out.push_back(r->RowToString(g, i));
-    }
-    return out;
-  };
-  const std::vector<std::string> baseline = rows({});
-  ASSERT_FALSE(baseline.empty());
-  for (bool planner : {true, false}) {
-    ExecOptions exec;
-    exec.use_planner = planner;
-    EXPECT_EQ(rows(exec), baseline) << "planner " << planner;
   }
 }
 

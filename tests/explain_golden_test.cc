@@ -48,22 +48,12 @@ constexpr const char* kQuery =
     "CONNECT(?p, \"France\" -> ?t1) MAX 3 "
     "CONNECT(\"Elon\", \"Doug\" -> ?t2) MAX 2 }";
 
-TEST(ExplainGolden, EstimatesPlannerOn) {
+TEST(ExplainGolden, Estimates) {
   Graph g = MakeFigure1Graph();
   EqlEngine engine(g);
   auto prepared = engine.Prepare(kQuery);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   CheckGolden("explain_estimates.txt", prepared->Explain());
-}
-
-TEST(ExplainGolden, EstimatesPlannerOff) {
-  Graph g = MakeFigure1Graph();
-  EngineOptions opts;
-  opts.use_planner = false;
-  EqlEngine engine(g, opts);
-  auto prepared = engine.Prepare(kQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  CheckGolden("explain_planner_off.txt", prepared->Explain());
 }
 
 TEST(ExplainGolden, ActualsAfterExecution) {

@@ -1,13 +1,13 @@
-// Planner on/off equivalence: the cost-based plan layer (eval/plan.h) may
-// reorder CTP execution, skip provably-empty searches and share identical
-// table specs, but the projected rows must be the ones the fixed-order
-// engine produces — byte-identical with the planner off, row-identical with
-// it on. Also covers the Prepare-time rejection of cyclic free-member
-// dependencies and the CSE/skip telemetry flags.
+// Plan equivalence: the cost-based plan layer (eval/plan.h) reorders CTP
+// execution, skips provably-empty searches and shares identical table
+// specs, but the projected rows must be the ones a query-order execution
+// produces — pinned byte-for-byte by references frozen from the engine's
+// former fixed query-order path (tests/golden/plan_rows_*.txt). Also covers
+// the Prepare-time rejection of cyclic free-member dependencies and the
+// CSE/skip telemetry flags.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -101,9 +101,8 @@ ParamMap BindParams(const Manifest& m) {
   return params;
 }
 
-/// Rendered row sequence, unsorted: planner-OFF must match byte-for-byte,
-/// and the planner's contract says planner-ON matches it too (the join
-/// consumes stage tables in stage-id order in both modes).
+/// Rendered row sequence, unsorted: the join consumes stage tables in
+/// stage-id order whatever order the stages ran in, so this is stable.
 std::vector<std::string> RowsOf(const Graph& g, const QueryResult& r) {
   std::vector<std::string> out;
   for (size_t i = 0; i < r.table.NumRows(); ++i) {
@@ -112,74 +111,13 @@ std::vector<std::string> RowsOf(const Graph& g, const QueryResult& r) {
   return out;
 }
 
-Result<QueryResult> RunWithPlanner(const Graph& g, const std::string& query,
-                                   const ParamMap& params, bool planner,
-                                   unsigned num_threads = 1) {
-  EngineOptions opts;
-  opts.use_planner = planner;
-  opts.num_threads = num_threads;
-  EqlEngine engine(g, opts);
-  auto prepared = engine.Prepare(query);
-  if (!prepared.ok()) return prepared.status();
-  return prepared->Execute(params);
-}
-
-// ---------------------------------------------------------------------------
-// Equivalence across the conformance corpus.
-// ---------------------------------------------------------------------------
-
 class PlanEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(PlanEquivalenceTest, PlannerOnOffRowsIdentical) {
-  Manifest m = LoadManifest(GetParam());
-  ASSERT_FALSE(m.graph_text.empty());
-  auto g = ParseGraphText(m.graph_text);
-  ASSERT_TRUE(g.ok()) << g.status().ToString();
-  const ParamMap params = BindParams(m);
-
-  auto off = RunWithPlanner(*g, m.query, params, /*planner=*/false);
-  auto on = RunWithPlanner(*g, m.query, params, /*planner=*/true);
-  ASSERT_EQ(off.ok(), on.ok())
-      << "planner toggled the outcome: off="
-      << (off.ok() ? "ok" : off.status().ToString())
-      << " on=" << (on.ok() ? "ok" : on.status().ToString());
-  if (!off.ok()) {
-    EXPECT_EQ(off.status().ToString(), on.status().ToString());
-    return;
-  }
-  if (!m.check_rows) return;  // timing-dependent manifest (e.g. TIMEOUT)
-  EXPECT_EQ(RowsOf(*g, *off), RowsOf(*g, *on));
-  EXPECT_EQ(off->outcome, on->outcome);
-  EXPECT_EQ(off->bgp_rows, on->bgp_rows);
-}
-
-/// Same corpus on a worker pool: the planner's dependency waves and the
-/// fixed path's all-concurrent dispatch must agree, including the per-run
-/// chunk counts (chunk merge order is deterministic).
-TEST_P(PlanEquivalenceTest, PlannerOnOffRowsIdenticalOnPool) {
-  Manifest m = LoadManifest(GetParam());
-  ASSERT_FALSE(m.graph_text.empty());
-  auto g = ParseGraphText(m.graph_text);
-  ASSERT_TRUE(g.ok()) << g.status().ToString();
-  const ParamMap params = BindParams(m);
-
-  auto off = RunWithPlanner(*g, m.query, params, /*planner=*/false, 2);
-  auto on = RunWithPlanner(*g, m.query, params, /*planner=*/true, 2);
-  ASSERT_EQ(off.ok(), on.ok());
-  if (!off.ok() || !m.check_rows) return;
-  EXPECT_EQ(RowsOf(*g, *off), RowsOf(*g, *on));
-  ASSERT_EQ(off->ctp_runs.size(), on->ctp_runs.size());
-  for (size_t i = 0; i < off->ctp_runs.size(); ++i) {
-    EXPECT_EQ(off->ctp_runs[i].parallel_chunks, on->ctp_runs[i].parallel_chunks)
-        << "CTP " << i;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Frozen references: the fixed query-order path's rows, outcome and BGP
-// cardinalities for every row-checked manifest, sequentially and on a
-// 2-thread engine (plus each CTP's chunk count there). The executed path
-// must reproduce them byte-for-byte: stage tables join in stage-id order
+// Frozen references: the former fixed query-order path's rows, outcome and
+// BGP cardinalities for every row-checked manifest, sequentially and on a
+// 2-thread engine (plus each CTP's chunk count there). Execution must
+// reproduce them byte-for-byte: stage tables join in stage-id order
 // whatever order the stages ran in.
 // ---------------------------------------------------------------------------
 
@@ -258,31 +196,6 @@ TEST_P(PlanEquivalenceTest, RowsMatchFrozenFixedOrderOnPool) {
   CheckFrozenRows(GetParam(), 2);
 }
 
-/// Writes the frozen-rows files from the fixed query-order path. Runs only
-/// with EQL_FREEZE_PLAN_ROWS=1; this is how tests/golden/plan_rows_*.txt
-/// were produced before that path was removed.
-TEST(PlanEquivalenceFreeze, WriteFixedOrderReferences) {
-  if (std::getenv("EQL_FREEZE_PLAN_ROWS") == nullptr) {
-    GTEST_SKIP() << "set EQL_FREEZE_PLAN_ROWS=1 to rewrite the references";
-  }
-  for (unsigned num_threads : {1u, 2u}) {
-    std::string text;
-    for (const std::string& path : ManifestFiles()) {
-      Manifest m = LoadManifest(path);
-      if (!m.check_rows) continue;
-      auto g = ParseGraphText(m.graph_text);
-      ASSERT_TRUE(g.ok()) << g.status().ToString();
-      auto r = RunWithPlanner(*g, m.query, BindParams(m), /*planner=*/false,
-                              num_threads);
-      text += "== " + ManifestStem(path) + " ==\n";
-      text += RenderRun(*g, r, num_threads > 1);
-    }
-    std::ofstream out(FrozenRowsPath(num_threads), std::ios::binary);
-    out << text;
-    ASSERT_TRUE(out.good()) << FrozenRowsPath(num_threads);
-  }
-}
-
 std::string ManifestTestName(
     const ::testing::TestParamInfo<std::string>& info) {
   std::string stem = std::filesystem::path(info.param).stem().string();
@@ -305,20 +218,6 @@ constexpr const char* kTwoCtpQuery =
     "CONNECT(?p, \"France\" -> ?t1) MAX 3 "
     "CONNECT(\"Elon\", \"Doug\" -> ?t2) MAX 2 }";
 
-TEST(PlanEquivalence, ExecOptionOverridesEngineDefault) {
-  Graph g = MakeFigure1Graph();
-  EqlEngine on_engine(g);  // planner defaults on
-  auto prepared = on_engine.Prepare(kTwoCtpQuery);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto with = prepared->Execute();
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  ExecOptions exec;
-  exec.use_planner = false;
-  auto without = prepared->Execute({}, exec);
-  ASSERT_TRUE(without.ok()) << without.status().ToString();
-  EXPECT_EQ(RowsOf(g, *with), RowsOf(g, *without));
-}
-
 TEST(PlanEquivalence, PreparedAndOneShotMatch) {
   Graph g = MakeFigure1Graph();
   EqlEngine engine(g);
@@ -331,23 +230,18 @@ TEST(PlanEquivalence, PreparedAndOneShotMatch) {
   EXPECT_EQ(RowsOf(g, *oneshot), RowsOf(g, *executed));
 }
 
-TEST(PlanEquivalence, StreamingMatchesMaterializedBothModes) {
+TEST(PlanEquivalence, StreamingMatchesMaterialized) {
   Graph g = MakeFigure1Graph();
-  for (bool planner : {false, true}) {
-    SCOPED_TRACE(planner ? "planner on" : "planner off");
-    EngineOptions opts;
-    opts.use_planner = planner;
-    EqlEngine engine(g, opts);
-    auto prepared = engine.Prepare(kTwoCtpQuery);
-    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-    auto materialized = prepared->Execute();
-    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-    CollectingSink sink;
-    auto streamed = prepared->Execute({}, sink);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_EQ(streamed->rows_streamed, materialized->table.NumRows());
-    EXPECT_EQ(sink.rows.size(), materialized->table.NumRows());
-  }
+  EqlEngine engine(g);
+  auto prepared = engine.Prepare(kTwoCtpQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto materialized = prepared->Execute();
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  CollectingSink sink;
+  auto streamed = prepared->Execute({}, sink);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->rows_streamed, materialized->table.NumRows());
+  EXPECT_EQ(sink.rows.size(), materialized->table.NumRows());
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +288,7 @@ TEST(PlanCycles, MaterializeUniversalAblationStillExecutesCycles) {
 }
 
 // ---------------------------------------------------------------------------
-// Planner-only effects: skip + CSE telemetry, with rows unchanged.
+// Skip + CSE telemetry.
 // ---------------------------------------------------------------------------
 
 TEST(PlanSkip, EmptyUpstreamStageSkipsLaterSearches) {
@@ -404,25 +298,18 @@ TEST(PlanSkip, EmptyUpstreamStageSkipsLaterSearches) {
   const char* query =
       "SELECT ?a ?b ?t WHERE { ?a \"noSuchEdge\" ?b . "
       "CONNECT(\"Bob\", \"Carole\" -> ?t) }";
-  for (bool planner : {false, true}) {
-    SCOPED_TRACE(planner ? "planner on" : "planner off");
-    EngineOptions opts;
-    opts.use_planner = planner;
-    EqlEngine engine(g, opts);
-    auto r = engine.Run(query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->table.NumRows(), 0u);
-    ASSERT_EQ(r->ctp_runs.size(), 1u);
-    EXPECT_EQ(r->ctp_runs[0].skipped, planner);
-    if (planner) {
-      EXPECT_EQ(r->ctp_runs[0].num_results, 0u);
-      EXPECT_EQ(r->ctp_runs[0].stats.trees_built, 0u);
-    }
-  }
+  EqlEngine engine(g);
+  auto r = engine.Run(query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->table.NumRows(), 0u);
+  ASSERT_EQ(r->ctp_runs.size(), 1u);
+  EXPECT_TRUE(r->ctp_runs[0].skipped);
+  EXPECT_EQ(r->ctp_runs[0].num_results, 0u);
+  EXPECT_EQ(r->ctp_runs[0].stats.trees_built, 0u);
 }
 
-/// The fixed query-order path's error for the query below, frozen before
-/// that path was removed.
+/// The error a full (unskipped) run raises for the query below, frozen
+/// from the former fixed query-order path, which never skipped.
 constexpr const char* kSeedValidationError =
     "invalid_argument: CTP ?t: seed set 0 is empty (no node matched its "
     "predicate)";
@@ -430,22 +317,14 @@ constexpr const char* kSeedValidationError =
 TEST(PlanSkip, SkippedStagePreservesSeedValidationErrors) {
   Graph g = MakeFigure1Graph();
   // Even with the skip available (empty BGP), an empty seed set must raise
-  // the same error the fixed-order path raises.
+  // the error a full run raises.
   const char* query =
       "SELECT ?a ?b ?t WHERE { ?a \"noSuchEdge\" ?b . "
       "CONNECT(\"NoSuchNode\", \"Carole\" -> ?t) }";
-  std::string messages[2];
-  for (bool planner : {false, true}) {
-    EngineOptions opts;
-    opts.use_planner = planner;
-    EqlEngine engine(g, opts);
-    auto r = engine.Run(query);
-    ASSERT_FALSE(r.ok());
-    messages[planner ? 1 : 0] = r.status().ToString();
-  }
-  EXPECT_EQ(messages[0], messages[1]);
-  EXPECT_EQ(messages[0], kSeedValidationError);
-  EXPECT_NE(messages[1].find("seed set"), std::string::npos) << messages[1];
+  EqlEngine engine(g);
+  auto r = engine.Run(query);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), kSeedValidationError);
 }
 
 TEST(PlanCse, IdenticalCtpTableSpecsShareOneSearch) {
@@ -453,22 +332,17 @@ TEST(PlanCse, IdenticalCtpTableSpecsShareOneSearch) {
   const char* query =
       "SELECT ?t1 ?t2 WHERE { CONNECT(\"Bob\", \"Carole\" -> ?t1) MAX 2 "
       "CONNECT(\"Bob\", \"Carole\" -> ?t2) MAX 2 }";
-  std::vector<std::string> rows[2];
-  for (bool planner : {false, true}) {
-    SCOPED_TRACE(planner ? "planner on" : "planner off");
-    EngineOptions opts;
-    opts.use_planner = planner;
-    EqlEngine engine(g, opts);
-    auto r = engine.Run(query);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    rows[planner ? 1 : 0] = RowsOf(g, *r);
-    ASSERT_EQ(r->ctp_runs.size(), 2u);
-    EXPECT_FALSE(r->ctp_runs[0].shared);
-    EXPECT_EQ(r->ctp_runs[1].shared, planner);
-    EXPECT_EQ(r->ctp_runs[0].num_results, r->ctp_runs[1].num_results);
-  }
-  EXPECT_EQ(rows[0], rows[1]);
-  EXPECT_FALSE(rows[1].empty());
+  EqlEngine engine(g);
+  auto r = engine.Run(query);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->ctp_runs.size(), 2u);
+  EXPECT_FALSE(r->ctp_runs[0].shared);
+  EXPECT_TRUE(r->ctp_runs[1].shared);
+  EXPECT_EQ(r->ctp_runs[0].num_results, r->ctp_runs[1].num_results);
+  // The two identical CTP tables share no column: a cross product.
+  EXPECT_EQ(r->table.NumRows(),
+            r->ctp_runs[0].num_results * r->ctp_runs[1].num_results);
+  EXPECT_GT(r->table.NumRows(), 0u);
 }
 
 TEST(PlanCse, RunBatchSharesAcrossQueries) {
@@ -497,7 +371,8 @@ TEST(PlanExplain, RendersEstimatesAndActuals) {
   auto prepared = engine.Prepare(kTwoCtpQuery);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   const std::string estimates = prepared->Explain();
-  EXPECT_NE(estimates.find("plan: planner=on"), std::string::npos) << estimates;
+  EXPECT_NE(estimates.find("plan: cost-unit=edge-visits"), std::string::npos)
+      << estimates;
   EXPECT_NE(estimates.find("ctp exec order"), std::string::npos) << estimates;
   EXPECT_EQ(estimates.find("actual:"), std::string::npos) << estimates;
   auto r = prepared->Execute();
