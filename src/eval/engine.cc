@@ -503,6 +503,14 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
     filters->limit = opts.universal_default_limit;
   }
 
+  // Adaptive choice (Property 3): two plain seed sets are fully served by
+  // the cheaper ESP; anything else gets the configured default.
+  AlgorithmKind kind = opts.algorithm;
+  if (opts.adaptive_algorithm && seeds->num_sets() == 2 &&
+      !seeds->HasUniversal() && !filters->unidirectional) {
+    kind = AlgorithmKind::kEsp;
+  }
+
   // Planner short-circuit: an upstream stage table is empty, so no row of
   // this stage can survive the final join. Everything up to here — seed
   // derivation, SeedSets validation, filter compilation — already ran, so
@@ -511,17 +519,11 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
   // a search is BFT's rejection of universal/UNI inputs, so those stages
   // fall through and fail fast exactly as a full run would.
   if (skip_search) {
-    AlgorithmKind skip_kind = opts.algorithm;
-    if (opts.adaptive_algorithm && seeds->num_sets() == 2 &&
-        !seeds->HasUniversal() && !filters->unidirectional) {
-      skip_kind = AlgorithmKind::kEsp;
-    }
     const bool search_may_error =
-        !IsGamFamily(skip_kind) &&
-        (seeds->HasUniversal() || filters->unidirectional);
+        !IsGamFamily(kind) && (seeds->HasUniversal() || filters->unidirectional);
     if (!search_may_error) {
       run.skipped = true;
-      run.algorithm = skip_kind;
+      run.algorithm = kind;
       run.stats.complete = true;
       return Status::Ok();  // stage stays empty -> empty CTP table
     }
@@ -563,14 +565,6 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
     }
   }
   run.used_subset_queues = qs == QueueStrategy::kPerSatSubset;
-
-  // Adaptive choice (Property 3): two plain seed sets are fully served by
-  // the cheaper ESP; anything else gets the configured default.
-  AlgorithmKind kind = opts.algorithm;
-  if (opts.adaptive_algorithm && seeds->num_sets() == 2 &&
-      !seeds->HasUniversal() && !filters->unidirectional) {
-    kind = AlgorithmKind::kEsp;
-  }
   run.algorithm = kind;
 
   // Worker-pool path: chunk the CTP across the pool (ctp/parallel.h) when

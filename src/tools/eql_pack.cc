@@ -7,12 +7,18 @@
 //   eql_pack info <file>
 //   eql_pack verify <file>
 //
+// Numeric values are decimal digits only and must fit their setting:
+// --threads 0..256 (0 = hardware concurrency), --nodes up to 2^32-1,
+// --labels and --types at least 1. Anything else exits 1 (usage).
+//
 // `pack` runs the parallel bulk loader (graph/bulk_load.h); its output is
 // deterministic (byte-identical across thread counts). `gen` writes the
 // seeded scale-free generator's graph as TSV so the pack path is exercised
 // end to end. `verify` re-reads every section checksum.
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -21,6 +27,7 @@
 #include "graph/bulk_load.h"
 #include "graph/graph_io.h"
 #include "graph/snapshot.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -41,6 +48,16 @@ int Usage() {
   return kExitUsage;
 }
 
+/// Parses the value of numeric flag `flag` into [min, max], or says why not.
+bool FlagValue(const std::string& flag, const char* text, uint64_t min,
+               uint64_t max, uint64_t* out) {
+  if (eql::ParseDecimalInRange(text, min, max, out)) return true;
+  std::fprintf(stderr, "%s needs a number in [%llu, %llu]\n", flag.c_str(),
+               static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max));
+  return false;
+}
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -56,7 +73,9 @@ int RunPack(int argc, char** argv) {
     if (arg == "-o" && i + 1 < argc) {
       output = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.num_threads = std::atoi(argv[++i]);
+      uint64_t n = 0;
+      if (!FlagValue(arg, argv[++i], 0, 256, &n)) return kExitUsage;
+      options.num_threads = static_cast<int>(n);
     } else if (arg == "--format" && i + 1 < argc) {
       std::string f = argv[++i];
       if (f == "tsv") {
@@ -125,18 +144,24 @@ int RunGen(int argc, char** argv) {
   params.num_edges = 400000;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
+    uint64_t n = 0;
     if (arg == "-o" && i + 1 < argc) {
       output = argv[++i];
     } else if (arg == "--nodes" && i + 1 < argc) {
-      params.num_nodes = static_cast<uint32_t>(std::atoll(argv[++i]));
+      if (!FlagValue(arg, argv[++i], 0, UINT32_MAX, &n)) return kExitUsage;
+      params.num_nodes = static_cast<uint32_t>(n);
     } else if (arg == "--edges" && i + 1 < argc) {
-      params.num_edges = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!FlagValue(arg, argv[++i], 0, UINT64_MAX, &n)) return kExitUsage;
+      params.num_edges = n;
     } else if (arg == "--seed" && i + 1 < argc) {
-      params.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!FlagValue(arg, argv[++i], 0, UINT64_MAX, &n)) return kExitUsage;
+      params.seed = n;
     } else if (arg == "--labels" && i + 1 < argc) {
-      params.num_labels = std::atoi(argv[++i]);
+      if (!FlagValue(arg, argv[++i], 1, INT_MAX, &n)) return kExitUsage;
+      params.num_labels = static_cast<int>(n);
     } else if (arg == "--types" && i + 1 < argc) {
-      params.num_types = std::atoi(argv[++i]);
+      if (!FlagValue(arg, argv[++i], 1, INT_MAX, &n)) return kExitUsage;
+      params.num_types = static_cast<int>(n);
     } else {
       std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
       return Usage();

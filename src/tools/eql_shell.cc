@@ -34,6 +34,10 @@
 //                     order (see "Planning & EXPLAIN" in eval/engine.h)
 //   --demo            load the paper's Figure 1 graph instead of a file
 //
+// Numeric values are decimal digits only (no sign) and must fit their
+// setting: --parallel at most 256, --memory-budget at least 1. Anything
+// else exits 2 (bad command line).
+//
 // Interactive / piped mode additionally understands dot-commands on their
 // own line:
 //   .parallel N       switch CTP parallelism to N chunks (0 = sequential)
@@ -69,6 +73,7 @@
 // src/graph/graph_io.h ("src<TAB>label<TAB>dst", plus @type/@literal lines).
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -137,6 +142,9 @@ constexpr int kExitParse = 3;
 constexpr int kExitExec = 4;
 constexpr int kExitResource = 5;
 
+/// Upper bound of --parallel / .parallel (CTP chunks, and pool workers).
+constexpr uint64_t kMaxParallel = 256;
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s GRAPH.tsv|--snapshot FILE|--demo [--algorithm NAME] "
@@ -175,6 +183,16 @@ bool ParseArgs(int argc, char** argv, ShellArgs* args) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    // A numeric flag's value: digits only, within [min, max].
+    auto number = [&](uint64_t min, uint64_t max, uint64_t* out) {
+      const char* v = next();
+      if (v != nullptr && ParseDecimalInRange(v, min, max, out)) return true;
+      std::fprintf(stderr, "%s needs a number in [%llu, %llu]\n", a.c_str(),
+                   static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max));
+      return false;
+    };
+    uint64_t n = 0;
     if (a == "--demo") {
       args->demo = true;
     } else if (a == "--stats") {
@@ -193,31 +211,17 @@ bool ParseArgs(int argc, char** argv, ShellArgs* args) {
       }
       args->options.algorithm = *kind;
     } else if (a == "--parallel") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      long n = std::atol(v);
-      if (n < 0 || n > 256) {
-        std::fprintf(stderr, "--parallel must be in [0, 256]\n");
-        return false;
-      }
+      if (!number(0, kMaxParallel, &n)) return false;
       args->options.num_threads = static_cast<unsigned>(n);
     } else if (a == "--timeout") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->options.default_ctp_timeout_ms = std::atoll(v);
+      if (!number(0, INT64_MAX, &n)) return false;
+      args->options.default_ctp_timeout_ms = static_cast<int64_t>(n);
     } else if (a == "--query-timeout") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->options.default_query_timeout_ms = std::atoll(v);
+      if (!number(0, INT64_MAX, &n)) return false;
+      args->options.default_query_timeout_ms = static_cast<int64_t>(n);
     } else if (a == "--memory-budget") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      long long bytes = std::atoll(v);
-      if (bytes <= 0) {
-        std::fprintf(stderr, "--memory-budget must be a positive byte count\n");
-        return false;
-      }
-      args->options.default_memory_budget_bytes = static_cast<size_t>(bytes);
+      if (!number(1, UINT64_MAX, &n)) return false;
+      args->options.default_memory_budget_bytes = n;
     } else if (a == "--snapshot") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -235,9 +239,8 @@ bool ParseArgs(int argc, char** argv, ShellArgs* args) {
       }
       args->format = *format;
     } else if (a == "--max-rows") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->max_rows = static_cast<size_t>(std::atoll(v));
+      if (!number(0, SIZE_MAX, &n)) return false;
+      args->max_rows = static_cast<size_t>(n);
     } else if (a == "-q") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -568,9 +571,10 @@ int Main(int argc, char** argv) {
       std::string name, arg;
       cmd >> name >> arg;
       if (name == ".parallel") {
-        long n = std::atol(arg.c_str());
-        if (n < 0 || n > 256) {
-          std::printf(".parallel expects a chunk count in [0, 256]\n");
+        uint64_t n = 0;
+        if (!ParseDecimalInRange(arg, 0, kMaxParallel, &n)) {
+          std::printf(".parallel expects a chunk count in [0, %llu]\n",
+                      static_cast<unsigned long long>(kMaxParallel));
           continue;
         }
         args.options.num_threads = static_cast<unsigned>(n);

@@ -90,13 +90,9 @@ int main(int argc, char** argv) {
     // for (--port 70000 binding 4464, --timeout-ms 2^63 going negative).
     auto next = [&](uint64_t max) {
       uint64_t v = 0;
-      if (i + 1 >= argc || !eql::ParseDecimal(argv[++i], &v)) {
-        std::fprintf(stderr, "eqld: %s needs a numeric value\n", arg.c_str());
-        std::exit(2);
-      }
-      if (v > max) {
-        std::fprintf(stderr, "eqld: %s %s is out of range (max %llu)\n",
-                     arg.c_str(), argv[i], static_cast<unsigned long long>(max));
+      if (i + 1 >= argc || !eql::ParseDecimalInRange(argv[++i], 0, max, &v)) {
+        std::fprintf(stderr, "eqld: %s needs a number in [0, %llu]\n",
+                     arg.c_str(), static_cast<unsigned long long>(max));
         std::exit(2);
       }
       return v;

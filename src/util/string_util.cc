@@ -98,4 +98,12 @@ bool ParseDecimal(std::string_view s, uint64_t* out) {
   return true;
 }
 
+bool ParseDecimalInRange(std::string_view s, uint64_t min, uint64_t max,
+                         uint64_t* out) {
+  uint64_t v = 0;
+  if (!ParseDecimal(s, &v) || v < min || v > max) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace eql

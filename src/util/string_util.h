@@ -36,6 +36,13 @@ bool ParseDouble(std::string_view s, double* out);
 /// proxy in front rejects them desynchronizes the two.
 bool ParseDecimal(std::string_view s, uint64_t* out);
 
+/// ParseDecimal whose value must also lie in [min, max]: the parse for a
+/// numeric command-line flag, bounded by what its field holds. A wrapped,
+/// truncated or sign-flipped value would run the tool under a setting
+/// nobody asked for.
+bool ParseDecimalInRange(std::string_view s, uint64_t min, uint64_t max,
+                         uint64_t* out);
+
 }  // namespace eql
 
 #endif  // EQL_UTIL_STRING_UTIL_H_

@@ -72,6 +72,46 @@ TEST(DifferentialTest, AlgorithmsAgreeOnRandomGraphs) {
   }
 }
 
+// MAX only bounds which minimal trees are reported, never which trees are
+// minimal: a complete algorithm under MAX n must return exactly the
+// unbounded exhaustive (BFT) answer restricted to trees of at most n edges,
+// and the restricted ESP family a subset of that.
+TEST(DifferentialTest, MaxEqualsFilteredUnboundedSearch) {
+  Rng rng(DiffSeed() + 5);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int nodes = 8 + static_cast<int>(rng.Below(6));  // 8..13
+    Graph g = MakeRandomGraph(nodes, nodes + static_cast<int>(rng.Below(nodes)),
+                              &rng);
+    const int m = 2 + static_cast<int>(rng.Below(3));  // 2..4 seed sets
+    auto sets = PickSeedSets(g, m, 2, &rng);
+    auto bft = RunAlgo(AlgorithmKind::kBft, g, sets);
+    ASSERT_NE(bft, nullptr);
+    const CanonicalResults unbounded = Canonical(bft->results());
+    for (uint32_t max = 1; max <= 5; ++max) {
+      SCOPED_TRACE("iteration " + std::to_string(iter) + ", MAX " +
+                   std::to_string(max));
+      CanonicalResults oracle;
+      for (const auto& es : unbounded) {
+        if (es.size() <= max) oracle.insert(es);
+      }
+      CtpFilters filters;
+      filters.max_edges = max;
+      for (AlgorithmKind kind : {AlgorithmKind::kGam, AlgorithmKind::kMoLesp}) {
+        auto run = RunAlgo(kind, g, sets, filters);
+        ASSERT_NE(run, nullptr);
+        EXPECT_EQ(Canonical(run->results()), oracle) << AlgorithmName(kind);
+      }
+      for (AlgorithmKind kind : {AlgorithmKind::kEsp, AlgorithmKind::kMoEsp,
+                                 AlgorithmKind::kLesp}) {
+        auto run = RunAlgo(kind, g, sets, filters);
+        ASSERT_NE(run, nullptr);
+        EXPECT_TRUE(IsSubset(Canonical(run->results()), oracle))
+            << AlgorithmName(kind);
+      }
+    }
+  }
+}
+
 TEST(DifferentialTest, ChunkCountNeverChangesTheAnswer) {
   Rng rng(DiffSeed() + 1);
   Graph g = MakeRandomGraph(12, 18, &rng);

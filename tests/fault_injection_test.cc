@@ -6,12 +6,15 @@
 // outcome flag, and nothing stuck or leaking behind it.
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ctp/algorithm.h"
 #include "ctp/parallel.h"
+#include "eval/engine.h"
 #include "test_util.h"
 #include "util/fault.h"
 
@@ -306,6 +309,61 @@ TEST_F(FaultInjectionTest, ParallelBudgetIsDividedAndReportsPeaks) {
                                     /*require_minimal=*/true);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Engine: fault runs execute the plan's order like every other run.
+// ---------------------------------------------------------------------------
+
+std::set<std::string> RowSet(const Graph& g, const QueryResult& r) {
+  std::set<std::string> rows;
+  for (size_t i = 0; i < r.table.NumRows(); ++i) rows.insert(r.RowToString(g, i));
+  return rows;
+}
+
+TEST(EngineFaultTest, AllocFaultInEitherStageOfATwoCtpQuery) {
+  // ?t1 is seeded from the BGP's table (dependent), ?t2 from its own
+  // predicates (independent); the plan runs ?t2 first.
+  Graph g = MakeFigure1Graph();
+  EqlEngine engine(g);
+  auto prepared = engine.Prepare(
+      "SELECT ?p ?t1 ?t2 WHERE { ?p \"citizenOf\" \"USA\" . "
+      "CONNECT(?p, \"France\" -> ?t1) MAX 3 "
+      "CONNECT(\"Elon\", \"Doug\" -> ?t2) MAX 2 }");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  FaultInjector counter;  // unarmed: counts a full run's alloc probes
+  ExecOptions exec;
+  exec.fault = &counter;
+  auto clean = prepared->Execute({}, exec);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->outcome, SearchOutcome::kOk);
+  ASSERT_GT(clean->table.NumRows(), 0u);
+  const std::set<std::string> clean_rows = RowSet(g, *clean);
+  const uint64_t probes = counter.Probes(kFaultSiteAlloc);
+  ASSERT_GE(probes, 2u);
+
+  // The first probe falls in the first stage run, the last in the last.
+  std::set<size_t> faulted_stages;
+  for (uint64_t trigger : {uint64_t{1}, probes}) {
+    SCOPED_TRACE("trigger " + std::to_string(trigger));
+    FaultInjector fault;
+    fault.Arm(kFaultSiteAlloc, trigger);
+    exec.fault = &fault;
+    auto r = prepared->Execute({}, exec);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->outcome, SearchOutcome::kFaultInjected);
+    EXPECT_EQ(fault.Fired(kFaultSiteAlloc), 1u);
+    for (const std::string& row : RowSet(g, *r)) {
+      EXPECT_TRUE(clean_rows.count(row)) << "row not in the unfaulted answer: "
+                                         << row;
+    }
+    ASSERT_EQ(r->ctp_runs.size(), 2u);
+    for (size_t i = 0; i < r->ctp_runs.size(); ++i) {
+      if (r->ctp_runs[i].stats.fault_injected) faulted_stages.insert(i);
+    }
+  }
+  EXPECT_EQ(faulted_stages, (std::set<size_t>{0, 1}))
+      << "each trigger should fault a different stage";
 }
 
 // ---------------------------------------------------------------------------

@@ -146,6 +146,21 @@ TEST(StringTest, ParseDecimalAcceptsOnlyDigits) {
   }
 }
 
+TEST(StringTest, ParseDecimalInRangeChecksBothBounds) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseDecimalInRange("1", 1, 256, &v));
+  EXPECT_EQ(v, 1u);
+  EXPECT_TRUE(ParseDecimalInRange("256", 1, 256, &v));
+  EXPECT_EQ(v, 256u);
+  EXPECT_TRUE(ParseDecimalInRange("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"0", "257", "-1", "1x", "", "4294967397"}) {
+    EXPECT_FALSE(ParseDecimalInRange(bad, 1, 256, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "a rejected parse must not write";
+  }
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
