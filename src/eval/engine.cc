@@ -799,10 +799,10 @@ Status EqlEngine::ExecutePlan(const PreparedQuery::Plan& plan, const Query& q,
     stitched[sid] = 1;
   };
 
-  // CSE resolution for a stage: copy the canonical stage's (or
-  // a batch sibling's) rows/trees instead of searching. Only complete, clean
-  // results are shared — a hit therefore implies the donor's identical
-  // validation succeeded, so no error path is masked.
+  // CSE resolution for a stage: copy the canonical stage's (or a batch
+  // sibling's) rows/trees instead of searching. Only complete, clean results
+  // are shared — a hit therefore implies the donor's identical validation
+  // succeeded, so no error path is masked.
   auto try_share = [&](size_t sid) -> bool {
     const PlanStage& st = pp.stages[sid];
     const size_t ci = st.input;

@@ -27,7 +27,8 @@
 //                     rows. Result documents go to stdout; timing and
 //                     telemetry lines go to stderr, so piped output stays
 //                     machine-parseable.
-//   --max-rows N      print at most N result rows per query (default 20)
+//   --max-rows N      print at most N result rows per query (default 20;
+//                     0 = every row)
 //   --stats           print per-CTP search statistics
 //   --explain         print the query plan (with post-execution actuals)
 //                     after each query; CTP stages run in the plan's cost
