@@ -1,7 +1,9 @@
 #include "ctp/parallel.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <compare>
+#include <span>
 
 #include "util/stopwatch.h"
 
@@ -9,15 +11,18 @@ namespace eql {
 
 namespace {
 
-/// One result staged by a chunk worker: everything the merge step needs,
-/// extracted before the worker's arena is recycled. `edges` is sorted, so
-/// cross-chunk equality on a hash collision is a plain vector compare.
+/// One result staged by a chunk worker, extracted before the worker's arena
+/// is recycled. Its sorted edge set and seed tuple live in the chunk's flat
+/// buffers (ChunkOutput), so staging costs no allocation per result and the
+/// merge tears down three vectors per chunk, not two per result.
 struct ChunkResult {
   uint64_t hash = 0;  ///< incremental XOR edge-set hash (the dedup word)
   double score = 0;
   NodeId root = kNoNode;
-  std::vector<EdgeId> edges;
-  std::vector<NodeId> seed_of_set;
+  uint32_t num_edges = 0;
+  uint32_t num_seeds = 0;
+  size_t edge_offset = 0;  ///< into ChunkOutput::edges
+  size_t seed_offset = 0;  ///< into ChunkOutput::seeds
 };
 
 /// Output slot of one chunk task (written by exactly one worker).
@@ -25,18 +30,36 @@ struct ChunkOutput {
   Status status = Status::Ok();
   SearchStats stats;
   std::vector<ChunkResult> results;
+  std::vector<EdgeId> edges;  ///< the results' sorted edge sets, back to back
+  std::vector<NodeId> seeds;  ///< the results' seed tuples, back to back
+};
+
+/// A staged result with its spans resolved: what the merge dedups, orders
+/// and materializes. Contiguous, so sorting touches no chunk buffer unless
+/// two candidates tie on score, edge count and hash.
+struct Candidate {
+  double score = 0;
+  uint64_t hash = 0;
+  std::span<const EdgeId> edges;
+  std::span<const NodeId> seed_of_set;
+  NodeId root = kNoNode;
 };
 
 /// Total order on results: score desc, then fewest edges, then edge-set
 /// hash, then seed tuple, then the edge sets themselves. Independent of
 /// thread scheduling and chunk order, so TOP-k/LIMIT tie-breaks are stable
 /// run to run and across pool sizes.
-bool ResultLess(const ChunkResult& a, const ChunkResult& b) {
+bool ResultLess(const Candidate& a, const Candidate& b) {
   if (a.score != b.score) return a.score > b.score;
   if (a.edges.size() != b.edges.size()) return a.edges.size() < b.edges.size();
   if (a.hash != b.hash) return a.hash < b.hash;
-  if (a.seed_of_set != b.seed_of_set) return a.seed_of_set < b.seed_of_set;
-  return a.edges < b.edges;
+  if (auto c = std::lexicographical_compare_three_way(
+          a.seed_of_set.begin(), a.seed_of_set.end(), b.seed_of_set.begin(),
+          b.seed_of_set.end());
+      c != 0) {
+    return c < 0;
+  }
+  return std::ranges::lexicographical_compare(a.edges, b.edges);
 }
 
 }  // namespace
@@ -250,14 +273,20 @@ Result<ParallelCtpOutcome> CtpExecutor::Evaluate(
           }
           out.results.reserve(search.results().size());
           for (const CtpResult& r : search.results().results()) {
-            ChunkResult cr;
             const RootedTree& t = search.arena().Get(r.tree);
+            ChunkResult cr;
             cr.hash = t.edge_set_hash;
             cr.root = t.root;
             cr.score = r.score;
-            cr.seed_of_set = r.seed_of_set;
-            cr.edges = search.arena().EdgeSet(r.tree);
-            out.results.push_back(std::move(cr));
+            cr.edge_offset = out.edges.size();
+            cr.seed_offset = out.seeds.size();
+            search.arena().AppendEdges(r.tree, &out.edges);
+            std::sort(out.edges.begin() + cr.edge_offset, out.edges.end());
+            cr.num_edges = static_cast<uint32_t>(out.edges.size() - cr.edge_offset);
+            out.seeds.insert(out.seeds.end(), r.seed_of_set.begin(),
+                             r.seed_of_set.end());
+            cr.num_seeds = static_cast<uint32_t>(r.seed_of_set.size());
+            out.results.push_back(cr);
           }
         }
       }
@@ -301,12 +330,19 @@ Result<ParallelCtpOutcome> CtpExecutor::Evaluate(
     }
   }
 
-  // Cross-chunk dedup on the one-word incremental hash, in chunk order.
-  // Chunk result sets are disjoint by construction (header), so this is pure
-  // insurance; exactness on a 64-bit collision costs one vector compare.
-  std::vector<ChunkResult*> merged;
-  std::unordered_map<uint64_t, std::vector<const ChunkResult*>> by_hash;
-  for (ChunkOutput& chunk : outputs) {
+  // Cross-chunk dedup on the one-word incremental hash, in chunk order, in
+  // an open-addressing table of `merged` indices (the hash is already
+  // avalanched, so its low bits pick the slot). Chunk result sets are
+  // disjoint by construction (header), so this is pure insurance; exactness
+  // on a 64-bit collision costs one span compare.
+  size_t staged = 0;
+  for (const ChunkOutput& chunk : outputs) staged += chunk.results.size();
+  std::vector<Candidate> merged;
+  merged.reserve(staged);
+  constexpr uint32_t kEmptySlot = UINT32_MAX;
+  std::vector<uint32_t> slots(std::bit_ceil(2 * staged + 1), kEmptySlot);
+  const size_t mask = slots.size() - 1;
+  for (const ChunkOutput& chunk : outputs) {
     // Fault site "chunk-merge": one probe per chunk. A firing chunk's slice
     // is dropped from the union — the shape of a worker lost after its
     // search finished — and the run reports kFaultInjected; the surviving
@@ -316,11 +352,17 @@ Result<ParallelCtpOutcome> CtpExecutor::Evaluate(
       out.stats.fault_injected = true;
       continue;
     }
-    for (ChunkResult& r : chunk.results) {
-      auto& bucket = by_hash[r.hash];
+    for (const ChunkResult& r : chunk.results) {
+      const Candidate c{
+          r.score, r.hash,
+          std::span<const EdgeId>(chunk.edges.data() + r.edge_offset, r.num_edges),
+          std::span<const NodeId>(chunk.seeds.data() + r.seed_offset, r.num_seeds),
+          r.root};
+      size_t slot = r.hash & mask;
       bool dup = false;
-      for (const ChunkResult* seen : bucket) {
-        if (seen->edges == r.edges) {
+      for (; slots[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+        const Candidate& seen = merged[slots[slot]];
+        if (seen.hash == c.hash && std::ranges::equal(seen.edges, c.edges)) {
           dup = true;
           break;
         }
@@ -329,28 +371,35 @@ Result<ParallelCtpOutcome> CtpExecutor::Evaluate(
         ++out.stats.duplicate_results;
         continue;
       }
-      bucket.push_back(&r);
-      merged.push_back(&r);
+      slots[slot] = static_cast<uint32_t>(merged.size());
+      merged.push_back(c);
     }
   }
 
-  // Deterministic total order before TOP-k/LIMIT (header).
-  std::sort(merged.begin(), merged.end(),
-            [](const ChunkResult* a, const ChunkResult* b) {
-              return ResultLess(*a, *b);
-            });
-  if (filters.score != nullptr && filters.top_k > 0 &&
-      merged.size() > static_cast<size_t>(filters.top_k)) {
-    merged.resize(static_cast<size_t>(filters.top_k));
+  // Deterministic total order before TOP-k/LIMIT (header). The order is
+  // strict once duplicates are gone, so selecting the window first and
+  // sorting only it yields the prefix a full sort would.
+  size_t window = merged.size();
+  if (filters.score != nullptr && filters.top_k > 0) {
+    window = std::min(window, static_cast<size_t>(filters.top_k));
   }
-  if (filters.limit != UINT64_MAX && merged.size() > filters.limit) {
-    merged.resize(filters.limit);
+  if (filters.limit < window) window = static_cast<size_t>(filters.limit);
+  if (window < merged.size()) {
+    std::nth_element(merged.begin(), merged.begin() + window, merged.end(),
+                     ResultLess);
+    merged.resize(window);
   }
+  std::sort(merged.begin(), merged.end(), ResultLess);
 
+  size_t window_edges = 0;
+  for (const Candidate& c : merged) window_edges += c.edges.size();
+  out.arena.Reserve(merged.size(), window_edges);
   out.results.reserve(merged.size());
-  for (ChunkResult* r : merged) {
-    TreeId id = out.arena.MakeAdHocInPlace(r->root, &r->edges, g, seeds);
-    out.results.push_back(CtpResult{id, std::move(r->seed_of_set), r->score});
+  for (const Candidate& c : merged) {
+    TreeId id = out.arena.MakeAdHocSorted(c.root, c.edges, g, seeds);
+    out.results.push_back(CtpResult{
+        id, std::vector<NodeId>(c.seed_of_set.begin(), c.seed_of_set.end()),
+        c.score});
   }
   out.stats.results_found = out.results.size();
   out.stats.complete = !out.stats.timed_out && !out.stats.budget_exhausted &&

@@ -85,13 +85,18 @@ TreeId TreeArena::MakeAdHocInPlace(NodeId root, std::vector<EdgeId>* edges, cons
                             const SeedSets& seeds) {
   std::sort(edges->begin(), edges->end());
   edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
+  return MakeAdHocSorted(root, *edges, g, seeds);
+}
+
+TreeId TreeArena::MakeAdHocSorted(NodeId root, std::span<const EdgeId> edges,
+                                  const Graph& g, const SeedSets& seeds) {
   RootedTree out;
   out.root = root;
   out.kind = ProvKind::kExternal;
   out.ext_offset = static_cast<uint32_t>(ext_pool_.size());
-  out.num_edges = static_cast<uint32_t>(edges->size());
+  out.num_edges = static_cast<uint32_t>(edges.size());
   out.sat = seeds.Signature(root);
-  for (EdgeId e : *edges) {
+  for (EdgeId e : edges) {
     out.edge_set_hash ^= HashSetElem(e);
     out.sat |= seeds.Signature(g.Source(e));
     out.sat |= seeds.Signature(g.Target(e));
@@ -100,10 +105,10 @@ TreeId TreeArena::MakeAdHocInPlace(NodeId root, std::vector<EdgeId>* edges, cons
     // External trees have no provenance to inherit a sum from; evaluate the
     // decomposition over the explicit parts (still exact: on-grid deltas).
     std::vector<NodeId> nodes;
-    nodes.reserve(2 * edges->size() + 1);
+    nodes.reserve(2 * edges.size() + 1);
     nodes.push_back(root);
     double sum = 0;
-    for (EdgeId e : *edges) {
+    for (EdgeId e : edges) {
       sum += acc_score_->EdgeDelta(g, e);
       nodes.push_back(g.Source(e));
       nodes.push_back(g.Target(e));
@@ -113,7 +118,7 @@ TreeId TreeArena::MakeAdHocInPlace(NodeId root, std::vector<EdgeId>* edges, cons
     for (NodeId n : nodes) sum += acc_score_->NodeDelta(g, n);
     out.score_acc = sum;
   }
-  ext_pool_.insert(ext_pool_.end(), edges->begin(), edges->end());
+  ext_pool_.insert(ext_pool_.end(), edges.begin(), edges.end());
   return Push(out);
 }
 

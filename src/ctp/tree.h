@@ -30,6 +30,7 @@
 #define EQL_CTP_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,18 @@ class TreeArena {
   /// null vector pointer.
   TreeId MakeAdHocInPlace(NodeId root, std::vector<EdgeId>* edges, const Graph& g,
                           const SeedSets& seeds);
+
+  /// Variant for an edge set that is already sorted and duplicate-free
+  /// (the parallel merge's staged results): copies it into the arena pool.
+  TreeId MakeAdHocSorted(NodeId root, std::span<const EdgeId> edges, const Graph& g,
+                         const SeedSets& seeds);
+
+  /// Reserves room for `trees` more trees holding `ext_edges` more external
+  /// edges, so a bulk load grows each buffer once.
+  void Reserve(size_t trees, size_t ext_edges) {
+    trees_.reserve(trees_.size() + trees);
+    ext_pool_.reserve(ext_pool_.size() + ext_edges);
+  }
 
   /// Removes the most recently created tree; only valid when nothing else
   /// references it (the engines pop provenances rejected by isNew).
