@@ -82,8 +82,7 @@ TreeShape AnalyzeTree(const Graph& g, const SeedSets& seeds,
 }
 
 Result<CtpBindingAnalysis> AnalyzeCtpBindings(
-    const Query& q, const std::vector<std::vector<size_t>>& bgp_groups,
-    bool allow_free_cycles) {
+    const Query& q, const std::vector<std::vector<size_t>>& bgp_groups) {
   CtpBindingAnalysis out;
 
   // First BGP group (in group order) whose patterns carry `var`; SIZE_MAX if
@@ -141,7 +140,7 @@ Result<CtpBindingAnalysis> AnalyzeCtpBindings(
   // Cyclic free-member rejection: CTPs chained only through mutually free
   // members leave the chain's first stage with every seed set universal —
   // the bindings reference each other in a cycle and nothing grounds them.
-  if (!allow_free_cycles && q.ctps.size() > 1) {
+  if (q.ctps.size() > 1) {
     // A member occurrence is "free" when nothing grounds it locally: no
     // predicate conditions (a `$param` condition counts as grounding — it
     // becomes a literal at bind time) and no BGP binding.

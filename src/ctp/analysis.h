@@ -101,16 +101,10 @@ struct CtpBindingAnalysis {
 /// Rejects (InvalidArgument) cyclic `$`-free member dependencies: two or
 /// more CTPs chained only through mutually free members (no predicate
 /// conditions, no parameters, no BGP binding), leaving some CTP of the chain
-/// with every seed set universal. The engine used to surface this as a
-/// confusing runtime "all seed sets are universal" error; it is a
-/// query bug — the CTPs reference each other's bindings in a cycle — and is
-/// now diagnosed as such at Prepare. A single all-free CTP keeps its
-/// existing behavior (Section 4.9 universal handling / runtime error), and
-/// `allow_free_cycles` preserves the materialize_universal_sets ablation,
-/// under which such queries are executable.
+/// with every seed set universal — a query bug, diagnosed at Prepare. A
+/// single all-free CTP fails at run time ("all seed sets are universal").
 Result<CtpBindingAnalysis> AnalyzeCtpBindings(
-    const Query& q, const std::vector<std::vector<size_t>>& bgp_groups,
-    bool allow_free_cycles = false);
+    const Query& q, const std::vector<std::vector<size_t>>& bgp_groups);
 
 }  // namespace eql
 

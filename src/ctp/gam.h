@@ -22,7 +22,10 @@
 //
 // The engine also implements the Section 4.9 strategies for very large and
 // universal (N) seed sets: per-sat-subset priority queues popped
-// smallest-first, and suppression of Init trees for universal sets.
+// smallest-first, and suppression of Init trees for universal sets. Under N
+// (results: ctp/seed_sets.h) only GAM is complete: Properties 4 and 8 do not
+// extend to it, so MoESP and MoLESP return subsets (Figure 1's
+// CONNECT("Bob", "Carole", ?any) MAX 3: 8 trees under GAM, 4 under MoLESP).
 //
 // Memory discipline: all per-tree scratch state lives in flat per-NodeId /
 // per-EdgeId arrays with epoch versioning (util/epoch.h) — nothing is

@@ -5,6 +5,13 @@
 // (an S_i equal to N, all graph nodes — Section 4.9) are flagged rather than
 // materialized: they contribute no signature bits and are excluded from the
 // mask a result must cover, because any node of the tree matches them.
+//
+// With a universal set (Section 4.9), a result is a tree (edges undirected)
+// holding exactly one node of each other set, whose leaves are all seeds of
+// those sets but at most one: N's representative, the root the N member
+// binds. A node in every other set is the 0-edge result. (Def 2.8 read
+// literally admits only 1-node trees, every node being in N.) GAM is
+// complete for this set; tests/differential_test.cc checks it by brute force.
 #ifndef EQL_CTP_SEED_SETS_H_
 #define EQL_CTP_SEED_SETS_H_
 

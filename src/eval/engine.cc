@@ -258,11 +258,9 @@ Result<std::shared_ptr<const PreparedQuery::Plan>> EqlEngine::PlanQuery(
 
   // Lower to the stage algebra: BGP groups, member seed sources (rejecting
   // cyclic free-member dependencies), cost estimates, CSE marks and both
-  // execution orders. The materialize-universal ablation grounds every
-  // member explicitly, so free-member cycles become executable under it.
+  // execution orders.
   plan->stats = GraphStats::Get(g_);
-  auto physical = BuildPhysicalPlan(q, g_, *plan->stats,
-                                    options_.materialize_universal_sets);
+  auto physical = BuildPhysicalPlan(q, g_, *plan->stats);
   if (!physical.ok()) return physical.status();
   plan->physical = std::move(physical).value();
 
@@ -448,6 +446,7 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
 
   std::vector<std::vector<NodeId>> sets;
   std::vector<bool> universal;
+  bool empty_derived = false;
   for (size_t mi = 0; mi < ctp.members.size(); ++mi) {
     const Predicate& member = ctp.members[mi];
     const CtpMemberSource& src = sources[mi];
@@ -466,17 +465,16 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
           return !PredicateMatches(g_, member, n, true);
         });
       }
+      empty_derived |= nodes.empty();
       sets.push_back(std::move(nodes));
       universal.push_back(false);
     } else if (src.kind == CtpMemberSource::Kind::kPredicate) {
       sets.push_back(NodesMatchingPredicate(g_, member));
-      universal.push_back(false);
-    } else if (opts.materialize_universal_sets) {
-      // Ablation path: instantiate N explicitly (an Init tree per graph
-      // node) — the blowup Section 4.9 (i) exists to avoid.
-      std::vector<NodeId> all(g_.NumNodes());
-      for (NodeId n = 0; n < g_.NumNodes(); ++n) all[n] = n;
-      sets.push_back(std::move(all));
+      if (sets.back().empty()) {  // an error even beside an empty derived set
+        return Status::InvalidArgument(StrFormat(
+            "CTP ?%s: seed set %zu is empty (no node matched its predicate)",
+            ctp.tree_var.c_str(), mi));
+      }
       universal.push_back(false);
     } else {
       // Unconstrained member: the universal N seed set (Section 4.9).
@@ -486,6 +484,15 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
   }
   for (size_t i = 0; i < sets.size(); ++i) {
     run.seed_set_sizes.push_back(universal[i] ? SIZE_MAX : sets[i].size());
+  }
+
+  // An empty derived set is data, not a query error: no row of this stage
+  // can survive the join, so the search is skipped.
+  if (empty_derived) {
+    run.skipped = true;
+    run.algorithm = opts.algorithm;
+    run.stats.complete = true;
+    return Status::Ok();  // stage stays empty -> empty CTP table
   }
 
   auto seeds = SeedSets::Make(g_, std::move(sets), universal);
@@ -512,12 +519,10 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
   }
 
   // Planner short-circuit: an upstream stage table is empty, so no row of
-  // this stage can survive the final join. Everything up to here — seed
-  // derivation, SeedSets validation, filter compilation — already ran, so
-  // every deterministic error this stage would raise has been raised; only
-  // the search itself is skipped. The one family of errors raised *inside*
-  // a search is BFT's rejection of universal/UNI inputs, so those stages
-  // fall through and fail fast exactly as a full run would.
+  // this stage can survive the final join. Seed validation and filter
+  // compilation already ran; only the search is skipped. The one error
+  // raised *inside* a search is BFT's rejection of universal/UNI inputs, so
+  // those stages fall through and fail fast exactly as a full run would.
   if (skip_search) {
     const bool search_may_error =
         !IsGamFamily(kind) && (seeds->HasUniversal() || filters->unidirectional);
@@ -568,20 +573,9 @@ Status EqlEngine::EvalOneCtp(const CtpPattern& ctp, size_t ctp_index,
   run.algorithm = kind;
 
   // Worker-pool path: chunk the CTP across the pool (ctp/parallel.h) when
-  // one is configured and some seed set is splittable.
-  bool parallel = env.executor != nullptr && opts.num_threads > 1 &&
-                  IsGamFamily(kind);
-  if (parallel) {
-    bool splittable = false;
-    for (int i = 0; i < seeds->num_sets(); ++i) {
-      if (!seeds->IsUniversal(i) && seeds->SetSize(i) > 0) {
-        splittable = true;
-        break;
-      }
-    }
-    parallel = splittable;
-  }
-  if (parallel) {
+  // one is configured. SeedSets guarantees a non-empty, non-universal set
+  // to split.
+  if (env.executor != nullptr && opts.num_threads > 1 && IsGamFamily(kind)) {
     ParallelCtpOptions popts;
     popts.num_threads = opts.num_threads;
     popts.algorithm = kind;

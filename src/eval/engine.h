@@ -5,11 +5,15 @@
 //   (B) for every CTP: derive seed sets from the B_i (or from node
 //       predicates; unconstrained members become universal N sets), push the
 //       CTP filters into the search, run the configured algorithm (MoLESP by
-//       default), and materialize the (s_1..s_m, t) tuples as a table;
+//       default), and materialize the (s_1..s_m, t) tuples as a table. An
+//       empty derived seed set skips the search (no rows); a literal member
+//       matching no node is an error;
 //   (C) natural-join all tables and project the head.
 //
-// Section 4.9 robustness: when a CTP has a universal set or badly skewed
-// seed-set sizes, the engine switches the search to per-sat-subset queues
+// Section 4.9: an unconstrained member means the universal set N, never
+// "every node" (results: ctp/seed_sets.h; only GAM is complete for them,
+// the default MoLESP returns a subset). A CTP with a universal set or
+// badly skewed seed-set sizes switches to per-sat-subset queues
 // automatically (EngineOptions::auto_queue_strategy).
 //
 // Public surface (this header + eval/sink.h + eval/params.h):
@@ -143,12 +147,9 @@ struct EngineOptions {
   /// Cap on emitted results per CTP when a universal (N) seed set makes the
   /// result space unbounded and the query gives no LIMIT.
   uint64_t universal_default_limit = 10000;
-  /// Enable Section 4.9 handling (universal sets, per-subset queues).
+  /// Section 4.9's per-sat-subset queues (universal or skewed seed sets);
+  /// false keeps one global queue.
   bool auto_queue_strategy = true;
-  /// Ablation switch: materialize universal (N) members as explicit all-node
-  /// seed sets instead of applying Section 4.9 (i). Exists to demonstrate
-  /// why the optimization matters (Table 1); never enable in production.
-  bool materialize_universal_sets = false;
   /// CTP parallelism: the number of seed-set chunks each CTP is split into
   /// and dispatched onto the worker pool (ctp/parallel.h). 0 or 1 =
   /// sequential, in-process evaluation. Parallel CTP results are emitted in

@@ -136,12 +136,11 @@ std::string Est(double v) { return StrFormat("~%.0f", v); }
 }  // namespace
 
 Result<PhysicalPlan> BuildPhysicalPlan(const Query& q, const Graph& g,
-                                       const GraphStats& stats,
-                                       bool allow_free_cycles) {
+                                       const GraphStats& stats) {
   PhysicalPlan plan;
   plan.bgp_groups = GroupIntoBgpIndices(q.patterns);
   plan.num_bgps = plan.bgp_groups.size();
-  auto binding = AnalyzeCtpBindings(q, plan.bgp_groups, allow_free_cycles);
+  auto binding = AnalyzeCtpBindings(q, plan.bgp_groups);
   if (!binding.ok()) return binding.status();
   plan.binding = std::move(binding).value();
 

@@ -112,12 +112,11 @@ struct PhysicalPlan {
 };
 
 /// Lowers a validated query over `g` into a PhysicalPlan: groups BGPs,
-/// resolves member sources (rejecting cyclic free-member dependencies unless
-/// `allow_free_cycles` — see AnalyzeCtpBindings), estimates costs from
-/// `stats`, assigns CSE keys and computes both execution orders.
+/// resolves member sources (rejecting cyclic free-member dependencies — see
+/// AnalyzeCtpBindings), estimates costs from `stats`, assigns CSE keys and
+/// computes both execution orders.
 Result<PhysicalPlan> BuildPhysicalPlan(const Query& q, const Graph& g,
-                                       const GraphStats& stats,
-                                       bool allow_free_cycles = false);
+                                       const GraphStats& stats);
 
 /// Renders the plan tree as text: one line per stage with seed sources and
 /// estimates, plus the exec order and CSE notes. With `actuals` (a

@@ -1,5 +1,7 @@
 // Differential conformance loop: randomized graphs cross-checked across
-// algorithms, chunk counts, parameter binding and the resource governor. Every run prints its seed; reproduce a failure with
+// algorithms, chunk counts, parameter binding and the resource governor,
+// and universal (N) seed sets against a brute-force oracle. Every run
+// prints its seed; reproduce a failure with
 //   EQL_DIFF_SEED=<seed> ctest -R differential
 // Iteration counts are deliberately small — this is a regression net, the
 // open-ended exploration lives in fuzz/.
@@ -107,6 +109,127 @@ TEST(DifferentialTest, MaxEqualsFilteredUnboundedSearch) {
         ASSERT_NE(run, nullptr);
         EXPECT_TRUE(IsSubset(Canonical(run->results()), oracle))
             << AlgorithmName(kind);
+      }
+    }
+  }
+}
+
+// Brute-force answer to a CTP with one universal member N (Section 4.9),
+// sharing no code with the search: every edge set of at most `max_edges`
+// edges that forms a tree (connected and acyclic, edges taken as
+// undirected) holding exactly one node of each explicit set, whose leaves
+// are all explicit seed nodes except at most one (N's representative).
+// The 0-edge tree counts when one node lies in every explicit set; the
+// explicit sets must be disjoint, so that happens only for a single set.
+CanonicalResults UniversalOracle(const Graph& g,
+                                 const std::vector<std::vector<NodeId>>& sets,
+                                 size_t max_edges) {
+  const size_t n = g.NumNodes();
+  std::vector<int> seed_of(n, -1);  // which explicit set holds a node
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (NodeId v : sets[i]) seed_of[v] = static_cast<int>(i);
+  }
+  CanonicalResults out;
+  if (sets.size() == 1) out.insert(std::vector<EdgeId>{});
+  std::vector<EdgeId> edges;
+  std::vector<int> degree(n), parent(n);
+  auto find = [&](int x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  // Depth-first over ascending edge ids, so each subset is visited once.
+  auto check = [&] {
+    std::fill(degree.begin(), degree.end(), 0);
+    for (size_t v = 0; v < n; ++v) parent[v] = static_cast<int>(v);
+    for (EdgeId e : edges) {
+      const int a = find(g.Source(e)), b = find(g.Target(e));
+      if (a == b) return;  // a cycle (parallel edges included)
+      parent[a] = b;
+      ++degree[g.Source(e)];
+      ++degree[g.Target(e)];
+    }
+    std::vector<int> hits(sets.size(), 0);
+    int root = -1, non_seed_leaves = 0;
+    for (size_t v = 0; v < n; ++v) {
+      if (degree[v] == 0) continue;
+      // Acyclic with |E| edges: one component iff every node shares a root.
+      if (root == -1) root = find(static_cast<int>(v));
+      if (find(static_cast<int>(v)) != root) return;
+      if (seed_of[v] >= 0) {
+        ++hits[seed_of[v]];
+      } else if (degree[v] == 1) {
+        ++non_seed_leaves;
+      }
+    }
+    for (int h : hits) {
+      if (h != 1) return;
+    }
+    if (non_seed_leaves <= 1) out.insert(edges);
+  };
+  auto extend = [&](auto&& self, EdgeId next) -> void {
+    if (!edges.empty()) check();
+    if (edges.size() == max_edges) return;
+    for (EdgeId e = next; e < g.NumEdges(); ++e) {
+      edges.push_back(e);
+      self(self, e + 1);
+      edges.pop_back();
+    }
+  };
+  extend(extend, 0);
+  return out;
+}
+
+// Section 4.9's universal set N has no exhaustive baseline in the engine
+// (BFT rejects it), so the brute-force oracle above pins it: GAM is exact
+// under both queue strategies and at every chunk count, and the restricted
+// family never returns a tree outside it.
+TEST(DifferentialTest, UniversalSetMatchesBruteForce) {
+  Rng rng(DiffSeed() + 6);
+  for (int iter = 0; iter < 60; ++iter) {
+    const int nodes = 8 + static_cast<int>(rng.Below(6));  // 8..13
+    Graph g = MakeRandomGraph(nodes, nodes + static_cast<int>(rng.Below(nodes)),
+                              &rng);
+    const int k = 1 + static_cast<int>(rng.Below(3));  // 1..3 explicit sets
+    const auto explicit_sets = PickSeedSets(g, k, 2, &rng);
+    // N goes in at a random position among the explicit sets.
+    const size_t at = rng.Below(k + 1);
+    auto sets = explicit_sets;
+    sets.insert(sets.begin() + at, std::vector<NodeId>{});
+    std::vector<bool> universal(sets.size(), false);
+    universal[at] = true;
+    auto seeds = SeedSets::Make(g, sets, universal);
+    ASSERT_TRUE(seeds.ok()) << seeds.status().ToString();
+    for (uint32_t max = 1; max <= 4; ++max) {
+      SCOPED_TRACE("iteration " + std::to_string(iter) + ", k " +
+                   std::to_string(k) + ", MAX " + std::to_string(max));
+      const CanonicalResults oracle = UniversalOracle(g, explicit_sets, max);
+      CtpFilters filters;
+      filters.max_edges = max;
+      for (QueueStrategy qs :
+           {QueueStrategy::kSingle, QueueStrategy::kPerSatSubset}) {
+        auto gam = RunUniversal(g, sets, universal, filters, qs,
+                                AlgorithmKind::kGam);
+        ASSERT_NE(gam, nullptr);
+        EXPECT_EQ(Canonical(gam->results()), oracle)
+            << "GAM, queue strategy " << static_cast<int>(qs);
+        for (AlgorithmKind kind :
+             {AlgorithmKind::kEsp, AlgorithmKind::kMoEsp, AlgorithmKind::kLesp,
+              AlgorithmKind::kMoLesp}) {
+          auto run = RunUniversal(g, sets, universal, filters, qs, kind);
+          ASSERT_NE(run, nullptr);
+          EXPECT_TRUE(IsSubset(Canonical(run->results()), oracle))
+              << AlgorithmName(kind) << ", queue strategy "
+              << static_cast<int>(qs);
+        }
+      }
+      for (unsigned chunks : {1u, 2u, 3u}) {
+        ParallelCtpOptions opts;
+        opts.num_threads = chunks;
+        opts.algorithm = AlgorithmKind::kGam;
+        opts.queue_strategy = QueueStrategy::kPerSatSubset;
+        auto out = EvaluateCtpParallel(g, *seeds, filters, opts);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        EXPECT_EQ(ParallelCanonical(*out), oracle) << chunks << " chunks";
       }
     }
   }

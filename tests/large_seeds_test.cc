@@ -8,31 +8,6 @@
 namespace eql {
 namespace {
 
-std::unique_ptr<CtpAlgorithm> RunUniversal(
-    const Graph& g, std::vector<std::vector<NodeId>> sets,
-    std::vector<bool> universal, CtpFilters f,
-    QueueStrategy qs = QueueStrategy::kPerSatSubset,
-    AlgorithmKind kind = AlgorithmKind::kMoLesp) {
-  struct Holder : CtpAlgorithm {
-    SeedSets seeds;
-    std::unique_ptr<CtpAlgorithm> inner;
-    explicit Holder(SeedSets s) : seeds(std::move(s)) {}
-    Status Run() override { return inner->Run(); }
-    const CtpResultSet& results() const override { return inner->results(); }
-    const SearchStats& stats() const override { return inner->stats(); }
-    const TreeArena& arena() const override { return inner->arena(); }
-    AlgorithmKind kind() const override { return inner->kind(); }
-  };
-  auto seeds = SeedSets::Make(g, std::move(sets), std::move(universal));
-  EXPECT_TRUE(seeds.ok()) << seeds.status().ToString();
-  auto holder = std::make_unique<Holder>(std::move(seeds).value());
-  holder->inner =
-      CreateCtpAlgorithm(kind, g, holder->seeds, std::move(f), nullptr, qs);
-  Status st = holder->Run();
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  return holder;
-}
-
 TEST(UniversalSeedTest, TwoSeedUniversalEnumeratesRootedTrees) {
   // Chain of 3 forward edges; S1 = {node 1}, S2 = N. Results: the 1-node
   // tree plus every tree growing from node 1 (each rooted tree is a

@@ -274,19 +274,6 @@ TEST(PlanCycles, GroundedChainStillAccepted) {
   EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
 }
 
-TEST(PlanCycles, MaterializeUniversalAblationStillExecutesCycles) {
-  Graph g = MakeFigure1Graph();
-  EngineOptions opts;
-  opts.materialize_universal_sets = true;
-  EqlEngine engine(g, opts);
-  // Under the ablation every member is grounded explicitly, so the cycle is
-  // executable and must stay accepted (the ablation benchmarks rely on it).
-  auto r = engine.Run(
-      "SELECT ?t1 WHERE { CONNECT(?x, ?y -> ?t1) MAX 1 "
-      "CONNECT(?y, ?x -> ?t2) MAX 1 }");
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-}
-
 // ---------------------------------------------------------------------------
 // Skip + CSE telemetry.
 // ---------------------------------------------------------------------------
@@ -323,6 +310,75 @@ TEST(PlanSkip, SkippedStagePreservesSeedValidationErrors) {
       "CONNECT(\"NoSuchNode\", \"Carole\" -> ?t) }";
   EqlEngine engine(g);
   auto r = engine.Run(query);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), kSeedValidationError);
+}
+
+// Bugfix regression: a member seeded from an empty upstream table is data,
+// not a query error — the stage yields no rows with its search skipped.
+// Both queries used to fail with "seed set 0 is empty".
+TEST(PlanSkip, MemberSeededFromEmptyBgpYieldsNoRows) {
+  Graph g = MakeFigure1Graph();
+  EqlEngine engine(g);
+  auto r = engine.Run(
+      "SELECT ?a ?t WHERE { ?a \"noSuchEdge\" ?b . "
+      "CONNECT(?a, \"Carole\" -> ?t) }");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->outcome, SearchOutcome::kOk);
+  EXPECT_EQ(r->table.NumRows(), 0u);
+  ASSERT_EQ(r->ctp_runs.size(), 1u);
+  EXPECT_TRUE(r->ctp_runs[0].skipped);
+  EXPECT_EQ(r->ctp_runs[0].stats.trees_built, 0u);
+}
+
+/// ?t1 is CONNECT("Bob", "Carole") with `t1_filters`; ?t2 seeds ?x from
+/// ?t1's table.
+std::string ChainedCtpQuery(const std::string& t1_filters) {
+  return "SELECT ?x ?t2 WHERE { CONNECT(?x, \"Carole\" -> ?t1) " + t1_filters +
+         " CONNECT(?x, \"Doug\" -> ?t2) FILTER(label(?x) = \"Bob\") }";
+}
+
+TEST(PlanSkip, MemberSeededFromEmptyCtpYieldsNoRows) {
+  Graph g = MakeFigure1Graph();
+  EqlEngine engine(g);
+  // A dead LABEL empties ?t1's table deterministically.
+  auto r = engine.Run(ChainedCtpQuery("LABEL {\"noSuchLabel\"}"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->table.NumRows(), 0u);
+  ASSERT_EQ(r->ctp_runs.size(), 2u);
+  EXPECT_TRUE(r->ctp_runs[0].dead_labels);
+  EXPECT_TRUE(r->ctp_runs[1].skipped);
+  EXPECT_EQ(r->ctp_runs[1].stats.trees_built, 0u);
+}
+
+TEST(PlanSkip, FaultEmptiedUpstreamStaysAPartialResult) {
+  Graph g = MakeFigure1Graph();
+  EqlEngine engine(g);
+  auto prepared = engine.Prepare(ChainedCtpQuery(""));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  // The first tree ?t1 keeps fails, so ?t1 ends with an empty table: the
+  // query keeps its fault outcome instead of turning into an error.
+  FaultInjector fault;
+  fault.Arm(kFaultSiteAlloc);
+  ExecOptions opts;
+  opts.fault = &fault;
+  auto r = prepared->Execute({}, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->outcome, SearchOutcome::kFaultInjected);
+  EXPECT_EQ(r->table.NumRows(), 0u);
+  ASSERT_EQ(r->ctp_runs.size(), 2u);
+  EXPECT_EQ(r->ctp_runs[0].num_results, 0u);
+  EXPECT_TRUE(r->ctp_runs[1].skipped);
+}
+
+TEST(PlanSkip, EmptyDerivedMemberKeepsLiteralSeedErrors) {
+  Graph g = MakeFigure1Graph();
+  EqlEngine engine(g);
+  // ?a is derived from an empty BGP table; the literal beside it matches no
+  // node, which stays the error a full run raises.
+  auto r = engine.Run(
+      "SELECT ?a ?t WHERE { ?a \"noSuchEdge\" ?b . "
+      "CONNECT(\"NoSuchNode\", ?a -> ?t) }");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().ToString(), kSeedValidationError);
 }

@@ -33,13 +33,16 @@ inline CanonicalResults Canonical(const CtpResultSet& results) {
 }
 
 /// Runs one algorithm on (g, seed sets) and returns it (holding results,
-/// stats, arena). Aborts the test on construction/run errors.
+/// stats, arena). `universal[i]` flags S_i as the universal set N
+/// (Section 4.9); empty means none. Aborts the test on construction/run
+/// errors.
 inline std::unique_ptr<CtpAlgorithm> RunAlgo(
     AlgorithmKind kind, const Graph& g,
     const std::vector<std::vector<NodeId>>& sets, CtpFilters filters = {},
     SearchOrder* order = nullptr,
-    QueueStrategy qs = QueueStrategy::kSingle) {
-  auto seeds = SeedSets::Of(g, sets);
+    QueueStrategy qs = QueueStrategy::kSingle,
+    std::vector<bool> universal = {}) {
+  auto seeds = SeedSets::Make(g, sets, std::move(universal));
   EXPECT_TRUE(seeds.ok()) << seeds.status().ToString();
   if (!seeds.ok()) return nullptr;
   // SeedSets must outlive the algorithm; stash it on the heap with the algo.
@@ -59,6 +62,17 @@ inline std::unique_ptr<CtpAlgorithm> RunAlgo(
   Status st = holder->Run();
   EXPECT_TRUE(st.ok()) << st.ToString();
   return holder;
+}
+
+/// RunAlgo with universal flags, defaulting to what the engine runs for an
+/// N member: MoLESP over per-sat-subset queues.
+inline std::unique_ptr<CtpAlgorithm> RunUniversal(
+    const Graph& g, const std::vector<std::vector<NodeId>>& sets,
+    std::vector<bool> universal, CtpFilters filters,
+    QueueStrategy qs = QueueStrategy::kPerSatSubset,
+    AlgorithmKind kind = AlgorithmKind::kMoLesp) {
+  return RunAlgo(kind, g, sets, std::move(filters), nullptr, qs,
+                 std::move(universal));
 }
 
 /// The running example graph of Figure 1 (12 nodes, 19 edges).
